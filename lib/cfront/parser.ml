@@ -150,7 +150,11 @@ let rec parse_decl_specs p : Ctype.t * bool =
     | Token.KW "unsigned" ->
       signed := Some Ctype.Unsigned;
       advance p
-    | Token.KW "struct" | Token.KW "union" -> set_base (parse_struct_spec p)
+    | Token.KW "struct" -> set_base (parse_struct_spec p)
+    | Token.KW "union" ->
+      (* Laying a union out as a struct would silently give every member
+         its own storage. *)
+      err p "unsupported: union types"
     | Token.KW "enum" -> set_base (parse_enum_spec p)
     | Token.IDENT name when is_typedef_name p name && !base = None
                             && !long_count = 0 && !signed = None ->
@@ -174,7 +178,6 @@ let rec parse_decl_specs p : Ctype.t * bool =
 
 and parse_struct_spec p : Ctype.t =
   advance p;
-  (* struct/union; unions are parsed but rejected later if used *)
   let tag =
     match cur_tok p with
     | Token.IDENT name ->
@@ -379,151 +382,49 @@ and const_expr p : int64 =
   let e = parse_conditional p in
   eval_const p e
 
-(* Constant expressions are folded *before* Sema annotates types, so the
-   evaluator carries its own types bottom-up and follows the engines'
-   semantics exactly: canonical sign-extended 64-bit values, normalized
-   to the expression's width after every operation, logical shifts and
-   unsigned compares/divisions for unsigned operands, shift counts
-   masked [land 63] (see lib/opt/fold.ml and the engines).  Getting this
-   wrong silently diverges folded constants from the runtime value of
-   the same expression — exactly the class of bug the difftest oracle
-   exists to catch. *)
-
-(* Type of a constant expression (mirrors Sema's [infer] for the subset
-   of forms legal in constant position). *)
+(* Constant expressions are folded *before* Sema annotates types, so
+   they carry their own types bottom-up ([const_ty], the subset of
+   Sema's typing legal in constant position) and go through the one
+   constant evaluator, [Cconst]. *)
 and const_ty p (e : Ast.expr) : Ctype.t =
   let module A = Ast in
-  (* Anything non-integer that sneaks in (pointer casts, floats) is
-     treated as long; evaluation is 64-bit either way. *)
-  let as_int ty = if Ctype.is_integer ty then ty else Ctype.long_t in
+  (* Anything non-arithmetic that sneaks in (pointer casts) is treated
+     as long. *)
+  let arith e =
+    let ty = const_ty p e in
+    if Ctype.is_arith ty then ty else Ctype.long_t
+  in
   match e.A.desc with
   | A.IntLit (_, k, s) -> Ctype.Int (k, s)
-  | A.CharLit _ -> Ctype.int_t
-  | A.Ident name when Hashtbl.mem p.enums name -> Ctype.int_t
-  | A.Unop (A.Lognot, _) -> Ctype.int_t
-  | A.Unop ((A.Neg | A.Bitnot), a) -> Ctype.promote (as_int (const_ty p a))
-  | A.Binop ((A.Shl | A.Shr), a, _) -> Ctype.promote (as_int (const_ty p a))
+  | A.FloatLit (_, k) -> Ctype.Float k
+  | A.Unop ((A.Neg | A.Bitnot), a) | A.Binop ((A.Shl | A.Shr), a, _) ->
+    Ctype.promote (arith a)
   | A.Binop ((A.Lt | A.Gt | A.Le | A.Ge | A.Eq | A.Ne | A.Logand | A.Logor), _, _)
     ->
     Ctype.int_t
-  | A.Binop (_, a, b) ->
-    Ctype.usual_arith (as_int (const_ty p a)) (as_int (const_ty p b))
-  | A.Cast (ty, _) -> as_int ty
-  | A.Cond (_, t, f) ->
-    Ctype.usual_arith (as_int (const_ty p t)) (as_int (const_ty p f))
+  | A.Binop (_, a, b) | A.Cond (_, a, b) -> Ctype.usual_arith (arith a) (arith b)
+  | A.Cast (ty, _) -> ty
   | _ -> Ctype.int_t
-
-(* Canonical (sign-extended) value of [e] at type [const_ty p e]. *)
-and eval_typed p (e : Ast.expr) : int64 =
-  let module A = Ast in
-  let conv a into =
-    Ctype.convert_const ~from_ty:(const_ty p a) ~to_ty:into (eval_typed p a)
-  in
-  match e.A.desc with
-  | A.IntLit (v, k, s) -> Ctype.normalize_const (Ctype.Int (k, s)) v
-  | A.CharLit c -> Int64.of_int (Char.code c)
-  | A.Ident name when Hashtbl.mem p.enums name -> Hashtbl.find p.enums name
-  | A.Unop (A.Neg, a) ->
-    let ty = const_ty p e in
-    Ctype.normalize_const ty (Int64.neg (conv a ty))
-  | A.Unop (A.Bitnot, a) ->
-    let ty = const_ty p e in
-    Ctype.normalize_const ty (Int64.lognot (conv a ty))
-  | A.Unop (A.Lognot, a) -> if eval_typed p a = 0L then 1L else 0L
-  | A.Binop ((A.Logand | A.Logor) as op, a, b) ->
-    (* Short-circuit so the unevaluated side may divide by zero. *)
-    let ta = eval_typed p a <> 0L in
-    let r =
-      match op with
-      | A.Logand -> ta && eval_typed p b <> 0L
-      | _ -> ta || eval_typed p b <> 0L
-    in
-    if r then 1L else 0L
-  | A.Binop ((A.Lt | A.Gt | A.Le | A.Ge | A.Eq | A.Ne) as op, a, b) ->
-    let as_int ty = if Ctype.is_integer ty then ty else Ctype.long_t in
-    let common =
-      Ctype.usual_arith (as_int (const_ty p a)) (as_int (const_ty p b))
-    in
-    let va = conv a common and vb = conv b common in
-    let cmp =
-      if Ctype.is_unsigned_int common then
-        Int64.unsigned_compare (Ctype.zext_const common va)
-          (Ctype.zext_const common vb)
-      else compare va vb
-    in
-    let r =
-      match op with
-      | A.Lt -> cmp < 0
-      | A.Gt -> cmp > 0
-      | A.Le -> cmp <= 0
-      | A.Ge -> cmp >= 0
-      | A.Eq -> cmp = 0
-      | _ -> cmp <> 0
-    in
-    if r then 1L else 0L
-  | A.Binop ((A.Shl | A.Shr) as op, a, b) ->
-    let ty = const_ty p e in
-    let va = conv a ty in
-    let count = Int64.to_int (eval_typed p b) land 63 in
-    let r =
-      match op with
-      | A.Shl -> Int64.shift_left va count
-      | _ ->
-        if Ctype.is_unsigned_int ty then
-          Int64.shift_right_logical (Ctype.zext_const ty va) count
-        else Int64.shift_right va count
-    in
-    Ctype.normalize_const ty r
-  | A.Binop (op, a, b) ->
-    let ty = const_ty p e in
-    let va = conv a ty and vb = conv b ty in
-    let div_checked f =
-      if vb = 0L then Diag.error e.A.pos "division by zero in constant"
-      else f ()
-    in
-    let r =
-      match op with
-      | A.Add -> Int64.add va vb
-      | A.Sub -> Int64.sub va vb
-      | A.Mul -> Int64.mul va vb
-      | A.Div ->
-        div_checked (fun () ->
-            if Ctype.is_unsigned_int ty then
-              Int64.unsigned_div (Ctype.zext_const ty va)
-                (Ctype.zext_const ty vb)
-            else Int64.div va vb)
-      | A.Mod ->
-        div_checked (fun () ->
-            if Ctype.is_unsigned_int ty then
-              Int64.unsigned_rem (Ctype.zext_const ty va)
-                (Ctype.zext_const ty vb)
-            else Int64.rem va vb)
-      | A.Band -> Int64.logand va vb
-      | A.Bor -> Int64.logor va vb
-      | A.Bxor -> Int64.logxor va vb
-      | _ -> assert false (* handled above *)
-    in
-    Ctype.normalize_const ty r
-  | A.SizeofTy _ | A.SizeofE _ ->
-    Diag.error e.A.pos "sizeof in constant expressions is not supported here"
-  | A.Cast (ty, a) ->
-    if Ctype.is_integer ty then conv a ty else eval_typed p a
-  | A.Cond (c, t, f) ->
-    (* Only the chosen branch is evaluated (the other may divide by
-       zero), but the result converts to the usual-arithmetic type of
-       both, as the runtime lowering does. *)
-    let ty = const_ty p e in
-    if eval_typed p c <> 0L then conv t ty else conv f ty
-  | _ -> Diag.error e.A.pos "expected a constant expression"
 
 (* Consumers (array sizes, case labels, enum values) expect the value
    "as converted to long": zero-extended for unsigned expressions,
    sign-extended otherwise — the same conversion the lowering applies to
    the runtime value in those positions. *)
 and eval_const p (e : Ast.expr) : int64 =
-  let v = eval_typed p e in
-  let ty = const_ty p e in
-  if Ctype.is_unsigned_int ty then Ctype.zext_const ty v else v
+  let env =
+    {
+      Cconst.ty_of = const_ty p;
+      sizeof =
+        (fun pos _ ->
+          Diag.error pos "sizeof in constant expressions is not supported here");
+    }
+  in
+  match Cconst.eval_at env e Ctype.long_t with
+  | Cconst.Int v when not (Ctype.is_float (const_ty p e)) -> v
+  | Cconst.Int _ | Cconst.Float _ ->
+    Diag.error e.Ast.pos "expected an integer constant expression"
+  | exception Cconst.Not_constant pos ->
+    Diag.error pos "expected a constant expression"
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)

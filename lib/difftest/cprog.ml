@@ -131,7 +131,7 @@ let as_long t v = if is_unsigned t && bits t < 64 then zext t v else v
 (* ---------------- float constant arithmetic ---------------- *)
 
 (** Round to the nearest binary32 value — deliberately the same
-    bit-store/load trick as [Irtype.round_to_f32], but written here
+    bit-store/load trick as [Irsem.round_to_f32], but written here
     independently: the reference evaluator shares no code with the
     engines it arbitrates. *)
 let round_f32 (f : float) : float = Int32.float_of_bits (Int32.bits_of_float f)
@@ -140,7 +140,7 @@ let round_f ft f = match ft with F32 -> round_f32 f | F64 -> f
 
 (** The defined float-to-integer conversion of our abstract machine
     (truncation toward zero, NaN to 0, saturation at the i64 range),
-    reimplemented independently of [Irtype.float_to_int]. *)
+    reimplemented independently of [Irsem.float_to_int]. *)
 let float_to_int_sat (f : float) : int64 =
   if f <> f then 0L
   else if f >= 9.223372036854775808e18 then Int64.max_int

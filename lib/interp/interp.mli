@@ -93,10 +93,17 @@ type pinstr =
   | Pload of int * Irtype.scalar * pval
   | Pstore of Irtype.scalar * pval * pval
   | Pgep of int * pval * pgep
-  | Pbinop of int * Instr.binop * Irtype.scalar * pval * pval * opclass
-  | Picmp of int * Instr.icmp * Irtype.scalar * pval * pval
-  | Pfcmp of int * Instr.fcmp * pval * pval
-  | Pcast of int * Instr.cast * Irtype.scalar * Irtype.scalar * pval
+  | Pbinop of
+      int * Instr.binop * Irtype.scalar * pval * pval * opclass
+      * (Mval.t -> Mval.t -> Mval.t)
+      (** ... * the operation resolved by [binop_fn] *)
+  | Picmp of
+      int * Instr.icmp * Irtype.scalar * pval * pval
+      * (Irtype.scalar -> int64 -> int64 -> bool)  (** ... * [Irsem.icmp] *)
+  | Pfcmp of int * Instr.fcmp * pval * pval * (float -> float -> bool)
+  | Pcast of
+      int * Instr.cast * Irtype.scalar * Irtype.scalar * pval
+      * (Mval.t -> Mval.t)  (** ... * the cast resolved by [cast_fn] *)
   | Pselect of int * pval * pval * pval
   | Psancheck
   | Pcall of int * pcallee * pval array * Irtype.scalar array
@@ -244,13 +251,17 @@ val pv : frame -> pval -> Mval.t
     [Step_limit_exceeded] past the limit. *)
 val charge : state -> frame -> opclass -> unit
 
-val exec_binop :
-  state -> Instr.binop -> Irtype.scalar -> Mval.t -> Mval.t -> Mval.t
+(** Shared boxes for compare results. *)
+val vtrue : Mval.t
+val vfalse : Mval.t
 
-val exec_icmp : Instr.icmp -> Irtype.scalar -> Mval.t -> Mval.t -> Mval.t
-val exec_fcmp : Instr.fcmp -> Mval.t -> Mval.t -> Mval.t
-val exec_cast :
-  Instr.cast -> Irtype.scalar -> Irtype.scalar -> Mval.t -> Mval.t
+(** [Irsem]'s binop [op] at width [s] on boxed values, resolved once; a
+    division by zero raises the managed error in context [ctx]. *)
+val binop_fn : string -> Instr.binop -> Irtype.scalar -> Mval.t -> Mval.t -> Mval.t
+
+(** [Irsem]'s cast on boxed values, resolved once, with the managed
+    meaning of pointer casts. *)
+val cast_fn : Instr.cast -> Irtype.scalar -> Irtype.scalar -> Mval.t -> Mval.t
 
 val exec_load : state -> Irtype.scalar -> Mval.t -> Mval.t
 val exec_store : state -> Irtype.scalar -> Mval.t -> Mval.t -> unit

@@ -187,123 +187,32 @@ open Nvalue
 let eval_value st (regs : Nvalue.t array) (v : Instr.value) : Nvalue.t =
   match v with
   | Instr.Reg r -> regs.(r)
-  | Instr.ImmInt (x, s) -> NI (Irtype.normalize_int s x, true)
+  | Instr.ImmInt (x, s) -> NI (Irsem.normalize_int s x, true)
   | Instr.ImmFloat (f, _) -> NF (f, true)
   | Instr.Null -> NI (0L, true)
   | Instr.GlobalAddr name -> NI (Hashtbl.find st.globals name, true)
   | Instr.FuncAddr name -> NI (func_addr st name, true)
 
+(* Irsem's operations on native values; a value is defined only if
+   every operand is. *)
+
 let exec_binop (op : Instr.binop) (s : Irtype.scalar) (a : Nvalue.t)
     (b : Nvalue.t) : Nvalue.t =
   let d = defined a && defined b in
-  match op with
-  | Instr.FAdd -> NF (Irtype.round_result s (as_float a +. as_float b), d)
-  | Instr.FSub -> NF (Irtype.round_result s (as_float a -. as_float b), d)
-  | Instr.FMul -> NF (Irtype.round_result s (as_float a *. as_float b), d)
-  | Instr.FDiv -> NF (Irtype.round_result s (as_float a /. as_float b), d)
-  | _ ->
-    let x = as_int a and y = as_int b in
-    let div_check () = if y = 0L then raise (Native_trap "SIGFPE") in
-    let r =
-      match op with
-      | Instr.Add -> Int64.add x y
-      | Instr.Sub -> Int64.sub x y
-      | Instr.Mul -> Int64.mul x y
-      | Instr.Sdiv ->
-        div_check ();
-        Int64.div x y
-      | Instr.Udiv ->
-        div_check ();
-        Int64.unsigned_div (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)
-      | Instr.Srem ->
-        div_check ();
-        Int64.rem x y
-      | Instr.Urem ->
-        div_check ();
-        Int64.unsigned_rem (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)
-      | Instr.Shl -> Int64.shift_left x (Int64.to_int y land 63)
-      | Instr.Lshr ->
-        Int64.shift_right_logical (Irtype.unsigned_of s x) (Int64.to_int y land 63)
-      | Instr.Ashr -> Int64.shift_right x (Int64.to_int y land 63)
-      | Instr.And -> Int64.logand x y
-      | Instr.Or -> Int64.logor x y
-      | Instr.Xor -> Int64.logxor x y
-      | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> assert false
-    in
-    NI (Irtype.normalize_int s r, d)
-
-let exec_icmp (op : Instr.icmp) (s : Irtype.scalar) (a : Nvalue.t) (b : Nvalue.t)
-    : Nvalue.t =
-  let d = defined a && defined b in
-  let x = as_int a and y = as_int b in
-  let r =
-    match op with
-    | Instr.Ieq -> x = y
-    | Instr.Ine -> x <> y
-    | Instr.Islt -> x < y
-    | Instr.Isle -> x <= y
-    | Instr.Isgt -> x > y
-    | Instr.Isge -> x >= y
-    | Instr.Iult ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) < 0
-    | Instr.Iule ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) <= 0
-    | Instr.Iugt ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) > 0
-    | Instr.Iuge ->
-      Int64.unsigned_compare (Irtype.unsigned_of s x) (Irtype.unsigned_of s y) >= 0
-  in
-  NI ((if r then 1L else 0L), d)
-
-let exec_fcmp (op : Instr.fcmp) (a : Nvalue.t) (b : Nvalue.t) : Nvalue.t =
-  let d = defined a && defined b in
-  let x = as_float a and y = as_float b in
-  let r =
-    match op with
-    | Instr.Feq -> x = y
-    | Instr.Fne -> x <> y
-    | Instr.Flt -> x < y
-    | Instr.Fle -> x <= y
-    | Instr.Fgt -> x > y
-    | Instr.Fge -> x >= y
-  in
-  NI ((if r then 1L else 0L), d)
+  if Irsem.is_float_op op then
+    NF (Irsem.float_binop op s (as_float a) (as_float b), d)
+  else
+    try NI (Irsem.int_binop op s (as_int a) (as_int b), d)
+    with Irsem.Division_by_zero -> raise (Native_trap "SIGFPE")
 
 let exec_cast (op : Instr.cast) (from : Irtype.scalar) (into : Irtype.scalar)
     (v : Nvalue.t) : Nvalue.t =
   let d = defined v in
-  match op with
-  | Instr.Trunc | Instr.Ptrtoint | Instr.Inttoptr ->
-    NI (Irtype.normalize_int into (as_int v), d)
-  | Instr.Zext -> NI (Irtype.normalize_int into (Irtype.unsigned_of from (as_int v)), d)
-  | Instr.Sext -> NI (Irtype.normalize_int into (as_int v), d)
-  | Instr.Fptrunc -> NF (Irtype.round_to_f32 (as_float v), d)
-  | Instr.Fpext -> NF (as_float v, d)
-  | Instr.Fptosi | Instr.Fptoui ->
-    NI (Irtype.normalize_int into (Irtype.float_to_int (as_float v)), d)
-  | Instr.Sitofp -> NF (Irtype.round_result into (Int64.to_float (as_int v)), d)
-  | Instr.Uitofp ->
-    let u = Irtype.unsigned_of from (as_int v) in
-    let f =
-      if u >= 0L then Int64.to_float u
-      else Int64.to_float u +. 18446744073709551616.0
-    in
-    NF (Irtype.round_result into f, d)
-  | Instr.Bitcast -> begin
-    match (Irtype.is_float_scalar from, Irtype.is_float_scalar into) with
-    | true, false ->
-      let f = as_float v in
-      let bits =
-        if into = Irtype.I32 then Int64.of_int32 (Int32.bits_of_float f)
-        else Int64.bits_of_float f
-      in
-      NI (Irtype.normalize_int into bits, d)
-    | false, true ->
-      let bits = as_int v in
-      if into = Irtype.F32 then NF (Int32.float_of_bits (Int64.to_int32 bits), d)
-      else NF (Int64.float_of_bits bits, d)
-    | _ -> v
-  end
+  match Irsem.cast op from into with
+  | Irsem.Int_to_int f -> NI (f from into (as_int v), d)
+  | Irsem.Float_to_int f -> NI (f into (as_float v), d)
+  | Irsem.Int_to_float f -> NF (f from into (as_int v), d)
+  | Irsem.Float_to_float f -> NF (f (as_float v), d)
 
 type opclass = Cop | Cfp | Cmem | Ccheck
 
@@ -372,7 +281,7 @@ and exec_block st (pf : pfunc) (regs : Nvalue.t array) (block_idx : int)
         let v =
           match s with
           | Irtype.F32 | Irtype.F64 -> NF (Mem.load_float st.mem addr ~size, d)
-          | _ -> NI (Irtype.normalize_int s (Mem.load_int st.mem addr ~size), d)
+          | _ -> NI (Irsem.normalize_int s (Mem.load_int st.mem addr ~size), d)
         in
         regs.(r) <- v
       | Instr.Store (s, v, p) ->
@@ -399,17 +308,18 @@ and exec_block st (pf : pfunc) (regs : Nvalue.t array) (block_idx : int)
         in
         regs.(r) <- NI (Int64.add (as_int bv) delta, defined bv)
       | Instr.Binop (r, op, s, a, b) ->
-        charge st
-          (match op with
-          | Instr.FAdd | Instr.FSub | Instr.FMul | Instr.FDiv -> Cfp
-          | _ -> Cop);
+        charge st (if Irsem.is_float_op op then Cfp else Cop);
         regs.(r) <- exec_binop op s (ev a) (ev b)
       | Instr.Icmp (r, op, s, a, b) ->
         charge st Cop;
-        regs.(r) <- exec_icmp op s (ev a) (ev b)
+        let x = ev a and y = ev b in
+        let c = Irsem.icmp op s (as_int x) (as_int y) in
+        regs.(r) <- NI ((if c then 1L else 0L), defined x && defined y)
       | Instr.Fcmp (r, op, _, a, b) ->
         charge st Cfp;
-        regs.(r) <- exec_fcmp op (ev a) (ev b)
+        let x = ev a and y = ev b in
+        let c = Irsem.fcmp op (as_float x) (as_float y) in
+        regs.(r) <- NI ((if c then 1L else 0L), defined x && defined y)
       | Instr.Cast (r, op, from, into, v) ->
         charge st Cop;
         regs.(r) <- exec_cast op from into (ev v)

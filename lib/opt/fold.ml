@@ -1,8 +1,8 @@
-(** Constant folding and algebraic simplification.  Semantics must match
-    the engines exactly (same normalization), otherwise optimized and
-    unoptimized runs would diverge on correct programs. *)
+(** Constant folding and algebraic simplification.  Every folded value
+    is computed by [Irsem], the semantics the engines execute, so
+    optimized and unoptimized runs agree on correct programs. *)
 
-let imm s v = Instr.ImmInt (Irtype.normalize_int s v, s)
+let imm s v = Instr.ImmInt (Irsem.normalize_int s v, s)
 
 let as_const (v : Instr.value) : int64 option =
   match v with Instr.ImmInt (x, _) -> Some x | _ -> None
@@ -12,41 +12,15 @@ let as_fconst (v : Instr.value) : float option =
   | Instr.ImmFloat (f, _) -> Some f
   | _ -> None
 
-let fimm s f = Instr.ImmFloat (Irtype.round_result s f, s)
-
 let fold_binop op s a b : Instr.value option =
   match (op, as_const a, as_const b, as_fconst a, as_fconst b) with
-  | Instr.FAdd, _, _, Some x, Some y -> Some (fimm s (x +. y))
-  | Instr.FSub, _, _, Some x, Some y -> Some (fimm s (x -. y))
-  | Instr.FMul, _, _, Some x, Some y -> Some (fimm s (x *. y))
-  | Instr.FDiv, _, _, Some x, Some y -> Some (fimm s (x /. y))
-  | _, Some x, Some y, _, _ -> begin
-    let open Instr in
-    match op with
-    | Add -> Some (imm s (Int64.add x y))
-    | Sub -> Some (imm s (Int64.sub x y))
-    | Mul -> Some (imm s (Int64.mul x y))
-    | Sdiv when y <> 0L -> Some (imm s (Int64.div x y))
-    | Srem when y <> 0L -> Some (imm s (Int64.rem x y))
-    | Udiv when y <> 0L ->
-      Some
-        (imm s
-           (Int64.unsigned_div (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)))
-    | Urem when y <> 0L ->
-      Some
-        (imm s
-           (Int64.unsigned_rem (Irtype.unsigned_of s x) (Irtype.unsigned_of s y)))
-    | Shl -> Some (imm s (Int64.shift_left x (Int64.to_int y land 63)))
-    | Lshr ->
-      Some
-        (imm s
-           (Int64.shift_right_logical (Irtype.unsigned_of s x)
-              (Int64.to_int y land 63)))
-    | Ashr -> Some (imm s (Int64.shift_right x (Int64.to_int y land 63)))
-    | And -> Some (imm s (Int64.logand x y))
-    | Or -> Some (imm s (Int64.logor x y))
-    | Xor -> Some (imm s (Int64.logxor x y))
-    | _ -> None
+  | _, _, _, Some x, Some y when Irsem.is_float_op op ->
+    Some (Instr.ImmFloat (Irsem.float_binop op s x y, s))
+  | _, Some x, Some y, _, _ when not (Irsem.is_float_op op) -> begin
+    (* a division by zero stays in the program, to fail at run time *)
+    match Irsem.int_binop op s x y with
+    | v -> Some (Instr.ImmInt (v, s))
+    | exception Irsem.Division_by_zero -> None
   end
   (* Algebraic identities with one constant side. *)
   | Instr.Add, Some 0L, None, _, _ -> Some b
@@ -61,54 +35,19 @@ let fold_binop op s a b : Instr.value option =
 let fold_icmp op s a b : Instr.value option =
   match (as_const a, as_const b) with
   | Some x, Some y ->
-    let open Instr in
-    let u v = Irtype.unsigned_of s v in
-    let r =
-      match op with
-      | Ieq -> x = y
-      | Ine -> x <> y
-      | Islt -> x < y
-      | Isle -> x <= y
-      | Isgt -> x > y
-      | Isge -> x >= y
-      | Iult -> Int64.unsigned_compare (u x) (u y) < 0
-      | Iule -> Int64.unsigned_compare (u x) (u y) <= 0
-      | Iugt -> Int64.unsigned_compare (u x) (u y) > 0
-      | Iuge -> Int64.unsigned_compare (u x) (u y) >= 0
-    in
-    Some (imm Irtype.I1 (if r then 1L else 0L))
+    Some (imm Irtype.I1 (if Irsem.icmp op s x y then 1L else 0L))
   | _ -> None
 
+(* Bitcasts are left to the engines. *)
 let fold_cast op from into v : Instr.value option =
-  match (v : Instr.value) with
-  | Instr.ImmInt (x, _) -> begin
-    match (op : Instr.cast) with
-    | Instr.Trunc | Instr.Inttoptr | Instr.Ptrtoint ->
-      Some (imm into x)
-    | Instr.Zext -> Some (imm into (Irtype.unsigned_of from x))
-    | Instr.Sext -> Some (imm into x)
-    | Instr.Sitofp -> Some (fimm into (Int64.to_float x))
-    | Instr.Uitofp ->
-      let u = Irtype.unsigned_of from x in
-      let f =
-        if u >= 0L then Int64.to_float u
-        else Int64.to_float u +. 18446744073709551616.0
-      in
-      Some (fimm into f)
-    | _ -> None
-  end
-  | Instr.ImmFloat (f, _) -> begin
-    match op with
-    | Instr.Fpext -> Some (Instr.ImmFloat (f, into))
-    | Instr.Fptrunc -> Some (Instr.ImmFloat (Irtype.round_to_f32 f, into))
-    | Instr.Fptosi | Instr.Fptoui -> Some (imm into (Irtype.float_to_int f))
-    | _ -> None
-  end
-  | Instr.Null -> begin
-    match op with
-    | Instr.Ptrtoint -> Some (imm into 0L)
-    | _ -> None
-  end
+  match ((v : Instr.value), Irsem.cast op from into) with
+  | _ when op = Instr.Bitcast -> None
+  | Instr.ImmInt (x, _), Irsem.Int_to_int f -> Some (Instr.ImmInt (f from into x, into))
+  | Instr.ImmInt (x, _), Irsem.Int_to_float f ->
+    Some (Instr.ImmFloat (f from into x, into))
+  | Instr.ImmFloat (x, _), Irsem.Float_to_int f -> Some (Instr.ImmInt (f into x, into))
+  | Instr.ImmFloat (x, _), Irsem.Float_to_float f -> Some (Instr.ImmFloat (f x, into))
+  | Instr.Null, _ when op = Instr.Ptrtoint -> Some (imm into 0L)
   | _ -> None
 
 (** One folding sweep over [f]; returns true if anything changed. *)

@@ -251,7 +251,8 @@ let test_events_ring_capacity () =
       Events.reset ();
       for i = 0 to 299 do
         Events.record
-          (Events.Cache_hit { ev_key = Printf.sprintf "k%d" i })
+          (Events.Error_raised
+             { ev_kind = "test"; ev_msg = Printf.sprintf "k%d" i })
       done;
       let entries = Events.recent () in
       Alcotest.(check int) "ring keeps last capacity entries" Events.capacity
@@ -264,8 +265,8 @@ let test_events_ring_capacity () =
       let last = List.nth entries (List.length entries - 1) in
       Alcotest.(check int) "newest seq" 299 last.Events.e_seq;
       (* per-kind counters count every record, not just survivors *)
-      Alcotest.(check int) "events.cache_hit counter" 300
-        (Metrics.counter "events.cache_hit").Metrics.c_value;
+      Alcotest.(check int) "events.error_raised counter" 300
+        (Metrics.counter "events.error_raised").Metrics.c_value;
       Events.reset ();
       Alcotest.(check int) "reset empties the ring" 0
         (List.length (Events.recent ())))
