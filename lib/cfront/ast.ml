@@ -88,7 +88,7 @@ type func = {
 type global =
   | Gfunc of func
   | Gvar of decl
-  | Gfundecl of string * Ctype.fsig
+  | Gfundecl of string * Ctype.fsig * Token.pos
   | Gstruct of string * field list
   | Gtypedef of string * Ctype.t
   | Genum of (string * int64) list

@@ -176,6 +176,15 @@ let rec parse_decl_specs p : Ctype.t * bool =
   in
   (ty, !saw_typedef)
 
+(* C11 6.7.2.1p3: a member must have complete type, and a struct is
+   complete only after its closing brace — which also rules out a
+   struct containing itself. *)
+and incomplete_struct p (ty : Ctype.t) : string option =
+  match ty with
+  | Ctype.Struct tag when not (List.mem_assoc tag p.structs) -> Some tag
+  | Ctype.Array (elem, _) -> incomplete_struct p elem
+  | _ -> None
+
 and parse_struct_spec p : Ctype.t =
   advance p;
   let tag =
@@ -192,9 +201,14 @@ and parse_struct_spec p : Ctype.t =
     while not (accept_punct p "}") do
       let base, _ = parse_decl_specs p in
       let rec field_loop () =
+        let pos = cur_pos p in
         let name, ty = parse_declarator p base in
         (match name with
-        | Some n -> fields := { Ast.f_name = n; f_ty = ty } :: !fields
+        | Some n ->
+          (match incomplete_struct p ty with
+          | Some tag -> Diag.error pos "field %S has incomplete type struct %s" n tag
+          | None -> ());
+          fields := { Ast.f_name = n; f_ty = ty } :: !fields
         | None -> err p "struct field needs a name");
         if accept_punct p "," then field_loop ()
       in
@@ -796,7 +810,7 @@ let parse_external p (acc : Ast.global list ref) =
       ignore fsig;
       err p "internal: function definitions handled in parse_program"
     | Ctype.Func fsig ->
-      acc := Ast.Gfundecl (name, fsig) :: !acc;
+      acc := Ast.Gfundecl (name, fsig, d_pos) :: !acc;
       expect_punct p ";"
     | _ ->
       let rec global_var name ty d_pos =

@@ -11,10 +11,17 @@
     against 0) — the *dynamic* checks are the point of this system, and
     the paper's §3.2 even relaxes type rules at run time. *)
 
+type func_info = {
+  fsig : Ctype.fsig;
+  decl_pos : Token.pos;  (** first declaration or definition *)
+  defined : bool;
+}
+
 type env = {
   layout : Layout.env;
   globals : (string, Ctype.t) Hashtbl.t;
-  funcs : (string, Ctype.fsig) Hashtbl.t;
+  funcs : (string, func_info) Hashtbl.t;
+  func_refs : (string, Token.pos) Hashtbl.t;  (** first call or use *)
   mutable scopes : (string, Ctype.t) Hashtbl.t list;  (* innermost first *)
   mutable current_ret : Ctype.t;
 }
@@ -24,6 +31,7 @@ let make_env () =
     layout = Layout.make_env ();
     globals = Hashtbl.create 64;
     funcs = Hashtbl.create 64;
+    func_refs = Hashtbl.create 16;
     scopes = [];
     current_ret = Ctype.Void;
   }
@@ -56,12 +64,39 @@ let lookup env name : Ctype.t option =
     | Some ty -> Some ty
     | None -> begin
       match Hashtbl.find_opt env.funcs name with
-      | Some fsig -> Some (Ctype.Func fsig)
+      | Some fi -> Some (Ctype.Func fi.fsig)
       | None -> None
     end
   end
 
 let err pos fmt = Diag.error pos fmt
+
+let note_func_ref env name pos =
+  if not (Hashtbl.mem env.func_refs name) then Hashtbl.replace env.func_refs name pos
+
+(* A struct declared but never defined has no size (C11 6.2.5p1): reject
+   every use that needs one with a position, not a layout failure. *)
+let rec incomplete_struct env (ty : Ctype.t) : string option =
+  match ty with
+  | Ctype.Struct tag when not (Hashtbl.mem env.layout.Layout.structs tag) ->
+    Some tag
+  | Ctype.Array (elem, _) -> incomplete_struct env elem
+  | _ -> None
+
+let require_complete env pos what ty =
+  match incomplete_struct env ty with
+  | Some tag -> err pos "%s has incomplete type struct %s" what tag
+  | None -> ()
+
+let require_complete_var env (d : Ast.decl) =
+  match incomplete_struct env d.d_ty with
+  | Some tag -> err d.d_pos "variable %S has incomplete type struct %s" d.d_name tag
+  | None -> ()
+
+let require_complete_pointee env pos ty =
+  match Ctype.decay ty with
+  | Ctype.Ptr elem -> require_complete env pos "pointer arithmetic operand" elem
+  | _ -> ()
 
 (* Can a value of type [src] be used where [dst] is expected?  Loose:
    arithmetic-to-arithmetic always (implicit conversion), pointers to
@@ -103,6 +138,9 @@ and infer env (e : Ast.expr) : Ctype.t =
   | A.StrLit s -> Ctype.Array (Ctype.char_t, Some (String.length s + 1))
   | A.Ident name -> begin
     match lookup env name with
+    | Some (Ctype.Func _ as ty) ->
+      note_func_ref env name e.pos;
+      ty
     | Some ty -> ty
     | None -> err e.pos "undeclared identifier %S" name
   end
@@ -123,6 +161,7 @@ and infer env (e : Ast.expr) : Ctype.t =
     let lt = check_expr env lhs in
     let rt = check_expr env rhs in
     if not (is_lvalue lhs) then err e.pos "assignment target is not an lvalue";
+    require_complete env e.pos "assignment target" lt;
     (match op with
     | None ->
       if not (assignable ~dst:lt ~src:rt) then
@@ -150,14 +189,19 @@ and infer env (e : Ast.expr) : Ctype.t =
     let at = Ctype.decay (check_expr env a) in
     let it = Ctype.decay (check_expr env idx) in
     match (at, it) with
-    | Ctype.Ptr elem, t when Ctype.is_integer t -> elem
-    | t, Ctype.Ptr elem when Ctype.is_integer t -> elem
+    | Ctype.Ptr elem, t when Ctype.is_integer t ->
+      require_complete env e.pos "subscripted element" elem;
+      elem
+    | t, Ctype.Ptr elem when Ctype.is_integer t ->
+      require_complete env e.pos "subscripted element" elem;
+      elem
     | _ -> err e.pos "invalid subscript: %s[%s]" (Ctype.to_string at)
              (Ctype.to_string it)
   end
   | A.Member (a, f) -> begin
     match check_expr env a with
-    | Ctype.Struct tag -> begin
+    | Ctype.Struct tag as t -> begin
+      require_complete env e.pos "member access operand" t;
       try snd (Layout.field_offset env.layout tag f)
       with Failure _ -> err e.pos "struct %s has no field %S" tag f
     end
@@ -165,7 +209,8 @@ and infer env (e : Ast.expr) : Ctype.t =
   end
   | A.Arrow (a, f) -> begin
     match Ctype.decay (check_expr env a) with
-    | Ctype.Ptr (Ctype.Struct tag) -> begin
+    | Ctype.Ptr (Ctype.Struct tag as t) -> begin
+      require_complete env e.pos "member access operand" t;
       try snd (Layout.field_offset env.layout tag f)
       with Failure _ -> err e.pos "struct %s has no field %S" tag f
     end
@@ -181,9 +226,11 @@ and infer env (e : Ast.expr) : Ctype.t =
     if not (is_lvalue a) && not (Ctype.is_func t) then
       err e.pos "& needs an lvalue";
     (match t with Ctype.Func _ -> Ctype.Ptr t | _ -> Ctype.Ptr t)
-  | A.SizeofTy _ -> Ctype.size_t
+  | A.SizeofTy ty ->
+    require_complete env e.pos "sizeof operand" ty;
+    Ctype.size_t
   | A.SizeofE a ->
-    ignore (check_expr env a);
+    require_complete env e.pos "sizeof operand" (check_expr env a);
     Ctype.size_t
   | A.PreIncr a | A.PreDecr a | A.PostIncr a | A.PostDecr a ->
     let t = check_expr env a in
@@ -191,6 +238,7 @@ and infer env (e : Ast.expr) : Ctype.t =
     let d = Ctype.decay t in
     if not (Ctype.is_arith d || Ctype.is_pointer d) then
       err e.pos "++/-- needs arithmetic or pointer operand";
+    require_complete_pointee env e.pos d;
     t
   | A.Comma (a, b) ->
     ignore (check_expr env a);
@@ -202,9 +250,13 @@ and check_binop env pos op a b : Ctype.t =
   binop_result env pos op ta tb
 
 and binop_result env pos (op : Ast.binop) ta tb : Ctype.t =
-  ignore env;
   let module A = Ast in
   let ta = Ctype.decay ta and tb = Ctype.decay tb in
+  (match op with
+  | A.Add | A.Sub ->
+    require_complete_pointee env pos ta;
+    require_complete_pointee env pos tb
+  | _ -> ());
   match op with
   | A.Add -> begin
     match (ta, tb) with
@@ -246,8 +298,9 @@ and check_call env pos callee args : Ctype.t =
     match callee.Ast.desc with
     | Ast.Ident name -> begin
       match Hashtbl.find_opt env.funcs name with
-      | Some fsig ->
+      | Some { fsig; _ } ->
         callee.Ast.ty <- Ctype.Func fsig;
+        note_func_ref env name callee.Ast.pos;
         fsig
       | None -> begin
         match lookup env name with
@@ -335,6 +388,7 @@ let rec check_stmt env (s : Ast.stmt) =
     List.iter
       (fun (d : A.decl) ->
         complete_array_type d;
+        require_complete_var env d;
         (match d.d_init with
         | Some init -> check_init env d.d_pos d.d_ty init
         | None -> ());
@@ -410,10 +464,17 @@ let check (prog : Ast.program) : env =
     (fun g ->
       match g with
       | Ast.Gstruct (tag, fields) -> Layout.add_struct env.layout tag fields
-      | Ast.Gfunc f -> Hashtbl.replace env.funcs f.fn_name f.fn_sig
-      | Ast.Gfundecl (name, fsig) ->
+      | Ast.Gfunc f ->
+        let decl_pos =
+          match Hashtbl.find_opt env.funcs f.fn_name with
+          | Some fi -> fi.decl_pos
+          | None -> f.fn_pos
+        in
+        Hashtbl.replace env.funcs f.fn_name
+          { fsig = f.fn_sig; decl_pos; defined = true }
+      | Ast.Gfundecl (name, fsig, decl_pos) ->
         if not (Hashtbl.mem env.funcs name) then
-          Hashtbl.replace env.funcs name fsig
+          Hashtbl.replace env.funcs name { fsig; decl_pos; defined = false }
       | Ast.Gvar d ->
         complete_array_type d;
         Hashtbl.replace env.globals d.d_name d.d_ty
@@ -424,6 +485,7 @@ let check (prog : Ast.program) : env =
     (fun g ->
       match g with
       | Ast.Gvar d -> begin
+        require_complete_var env d;
         match d.d_init with
         | Some init -> check_init env d.d_pos d.d_ty init
         | None -> ()
@@ -432,3 +494,17 @@ let check (prog : Ast.program) : env =
       | Ast.Gstruct _ | Ast.Gfundecl _ | Ast.Gtypedef _ | Ast.Genum _ -> ())
     prog;
   env
+
+(** The earliest reference to a function the program defines nowhere,
+    leaving out those whose first declaration [provided] says another
+    unit defines (the libc). *)
+let first_undefined_reference env ~(provided : Token.pos -> bool) :
+    (string * Token.pos) option =
+  let earlier (a : Token.pos) (b : Token.pos) = (a.line, a.col) < (b.line, b.col) in
+  Hashtbl.fold
+    (fun name pos first ->
+      match (Hashtbl.find_opt env.funcs name, first) with
+      | Some fi, _ when fi.defined || provided fi.decl_pos -> first
+      | _, Some (_, p) when earlier p pos -> first
+      | _ -> Some (name, pos))
+    env.func_refs None

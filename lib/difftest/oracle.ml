@@ -106,7 +106,7 @@ type frontend = {
 
 let frontend_of (src : string) (fold : bool) : frontend =
   let fe_user =
-    lazy (guard (fun () -> with_fe_fold fold (fun () -> Loader.compile_user src)))
+    lazy (guard (fun () -> with_fe_fold fold (fun () -> Loader.compile_program src)))
   in
   let fe_managed =
     lazy

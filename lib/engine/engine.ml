@@ -113,10 +113,10 @@ let run_clang_module ?(argv = [ "program" ]) ?(input = "")
   wrap_native m (Nexec.run ~argv st) ~promote_crash:None
 
 let run_clang ~level ~argv ~input ~step_limit (src : string) : result =
-  run_clang_module ~argv ~input ~step_limit ~level (Loader.compile_user src)
+  run_clang_module ~argv ~input ~step_limit ~level (Loader.compile_program src)
 
 let run_asan ~level ~options ~argv ~input ~step_limit (src : string) : result =
-  let m = Loader.compile_user src in
+  let m = Loader.compile_program src in
   Pipeline.compile_native ~level m;
   (* Instrumentation attaches to whatever accesses survived compilation. *)
   Asan.instrument m;
@@ -132,7 +132,7 @@ let run_asan ~level ~options ~argv ~input ~step_limit (src : string) : result =
   wrap_native m (Nexec.run ~argv st) ~promote_crash:(Some "AddressSanitizer")
 
 let run_valgrind ~level ~argv ~input ~step_limit (src : string) : result =
-  let m = Loader.compile_user src in
+  let m = Loader.compile_program src in
   Pipeline.compile_native ~level m;
   let mem = Mem.create () in
   let alloc = Alloc.create mem in

@@ -60,7 +60,7 @@ let asan_with options src =
 
 let run_asan_custom ~pre src =
   (* ASan -O3 with an extra pre-pass (the inlining ablation). *)
-  let m = Loader.compile_user src in
+  let m = Loader.compile_program src in
   pre m;
   ignore (Pipeline.o3 m);
   ignore (Pipeline.backend m);

@@ -34,17 +34,27 @@ let prelude_lines =
     (fun acc c -> if c = '\n' then acc + 1 else acc)
     0 Libc_src.prelude
 
+let frontend_user ~file src =
+  Lower.frontend ~file ~start_line:(1 - prelude_lines) (Libc_src.prelude ^ src)
+
 (** Compile [src] (user program) against the prelude, without linking. *)
 let compile_user ?(file = "<input>") (src : string) : Irmod.t =
-  let m, _env =
-    Lower.frontend ~file ~start_line:(1 - prelude_lines)
-      (Libc_src.prelude ^ src)
-  in
+  fst (frontend_user ~file src)
+
+(** [compile_user] for a whole program: a function it declares and uses
+    but never defines is an undefined reference, reported as a linker
+    would, for every engine alike — neither libc defines it.  What the
+    prelude declares (lines <= 0) both libcs define. *)
+let compile_program ?(file = "<input>") (src : string) : Irmod.t =
+  let m, env = frontend_user ~file src in
+  (match Sema.first_undefined_reference env ~provided:(fun pos -> pos.Token.line <= 0) with
+  | Some (name, pos) -> Diag.error pos "undefined reference to '%s'" name
+  | None -> ());
   m
 
 (** Compile and link a complete program: user code + managed libc. *)
 let load_program ?file (src : string) : Irmod.t =
-  let user = compile_user ?file src in
+  let user = compile_program ?file src in
   let linked = Trace.span "link" (fun () -> Irmod.link user (libc_module ())) in
   Trace.span "verify" (fun () -> Verify.verify linked);
   linked

@@ -17,6 +17,13 @@ val libc_module_shared : unit -> Irmod.t
     the source-file name recorded in diagnostics and bug reports. *)
 val compile_user : ?file:string -> string -> Irmod.t
 
+(** [compile_user] for a complete program, which every engine runs: a
+    function the program declares and references but never defines
+    raises [Diag.Error] ("undefined reference to 'f'") at its first
+    reference, before anything executes.  Prototypes of libc functions
+    are defined by the libc. *)
+val compile_program : ?file:string -> string -> Irmod.t
+
 (** Compile and link the complete managed program (user + libc); the
     module Safe Sulong interprets.  Verifies the result. *)
 val load_program : ?file:string -> string -> Irmod.t

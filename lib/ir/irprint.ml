@@ -2,10 +2,24 @@
 
 open Instr
 
+(* The shortest "%.Ng" that reads back as exactly [f] (17 digits always
+   do); nan and the infinities print as strtod spells them. *)
+let float_to_string f =
+  let rec go digits =
+    let s = Printf.sprintf "%.*g" digits f in
+    if
+      digits >= 17
+      || Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float f)
+    then s
+    else go (digits + 1)
+  in
+  go 15
+
 let value_to_string = function
   | Reg r -> Printf.sprintf "%%%d" r
   | ImmInt (v, s) -> Printf.sprintf "%s %Ld" (Irtype.scalar_to_string s) v
-  | ImmFloat (f, s) -> Printf.sprintf "%s %g" (Irtype.scalar_to_string s) f
+  | ImmFloat (f, s) ->
+    Printf.sprintf "%s %s" (Irtype.scalar_to_string s) (float_to_string f)
   | Null -> "null"
   | GlobalAddr g -> "@" ^ g
   | FuncAddr f -> "@" ^ f
@@ -134,7 +148,11 @@ let func_to_string (f : Irfunc.t) =
 let rec ginit_to_string = function
   | Irmod.Gzero -> "zeroinitializer"
   | Irmod.Gint v -> Int64.to_string v
-  | Irmod.Gfloat f -> string_of_float f
+  | Irmod.Gfloat f ->
+    (* must not read back as a [Gint] *)
+    let s = float_to_string f in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s
+    else s ^ ".0"
   | Irmod.Garray xs ->
     "[" ^ String.concat ", " (List.map ginit_to_string xs) ^ "]"
   | Irmod.Gstruct_init xs ->

@@ -1080,7 +1080,7 @@ let lower ?(string_prefix = ".str") ?(file = "<input>") (env : Sema.env)
   List.iter
     (fun g ->
       match g with
-      | A.Gfundecl (name, fsig)
+      | A.Gfundecl (name, fsig, _)
         when (not (List.exists (function A.Gfunc f -> f.A.fn_name = name | _ -> false) prog))
              && Irmod.find_extern m name = None ->
         Irmod.add_extern m

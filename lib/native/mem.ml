@@ -1,7 +1,8 @@
 (** The flat-memory native execution model: one linear address space, as
-    the machine gives a process.  This is the substrate that Clang-style
-    compilation targets in this reproduction and that the sanitizer
-    simulators instrument.  Errors are *not defined* here: an
+    the machine gives a process, stored sparsely ([Pages]): a page costs
+    memory only once the program writes it.  This is the substrate that
+    Clang-style compilation targets in this reproduction and that the
+    sanitizer simulators instrument.  Errors are *not defined* here: an
     out-of-bounds store silently corrupts a neighbour, a wild access
     outside the mapped range raises a simulated SIGSEGV — exactly the
     behaviours the paper's P1–P4 arguments rest on. *)
@@ -23,7 +24,7 @@ let func_base = 0x00F0_0000 (* synthetic code addresses for function ptrs *)
 let mem_size = 0x0100_0000
 
 type t = {
-  bytes : Bytes.t;
+  pages : Pages.t;
   mutable brk : int;      (** heap bump pointer *)
   mutable global_top : int;
   mutable argv_top : int;
@@ -31,7 +32,7 @@ type t = {
 
 let create () =
   {
-    bytes = Bytes.make mem_size '\000';
+    pages = Pages.create mem_size;
     brk = heap_base;
     global_top = globals_base;
     argv_top = argv_base;
@@ -45,23 +46,11 @@ let check mem addr size =
 
 let load_int mem addr ~size : int64 =
   check mem addr size;
-  let a = Int64.to_int addr in
-  match size with
-  | 1 -> Int64.of_int (Char.code (Bytes.get mem.bytes a))
-  | 2 -> Int64.of_int (Bytes.get_uint16_le mem.bytes a)
-  | 4 -> Int64.of_int32 (Bytes.get_int32_le mem.bytes a)
-  | 8 -> Bytes.get_int64_le mem.bytes a
-  | _ -> invalid_arg "Mem.load_int: bad size"
+  Pages.load mem.pages (Int64.to_int addr) size
 
 let store_int mem addr ~size (v : int64) : unit =
   check mem addr size;
-  let a = Int64.to_int addr in
-  match size with
-  | 1 -> Bytes.set mem.bytes a (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
-  | 2 -> Bytes.set_uint16_le mem.bytes a (Int64.to_int (Int64.logand v 0xFFFFL))
-  | 4 -> Bytes.set_int32_le mem.bytes a (Int64.to_int32 v)
-  | 8 -> Bytes.set_int64_le mem.bytes a v
-  | _ -> invalid_arg "Mem.store_int: bad size"
+  Pages.store mem.pages (Int64.to_int addr) size v
 
 let load_float mem addr ~size : float =
   let bits = load_int mem addr ~size in
@@ -74,6 +63,21 @@ let store_float mem addr ~size (v : float) : unit =
     else Int64.bits_of_float v
   in
   store_int mem addr ~size bits
+
+(** memmove of [n] bytes from [src] to [dst]. *)
+let blit mem ~src ~dst n =
+  check mem dst n;
+  check mem src n;
+  Pages.blit mem.pages ~src:(Int64.to_int src) ~dst:(Int64.to_int dst) n
+
+(** memset of [n] bytes at [addr] to [c]. *)
+let fill mem addr n c =
+  check mem addr n;
+  Pages.fill mem.pages (Int64.to_int addr) n c
+
+(** Pages of the address space the program has written (of
+    [mem_size / Pages.page_size]). *)
+let resident_pages mem = Pages.resident_pages mem.pages
 
 (** Read a NUL-terminated string (no checks beyond the address space —
     this is how the native model overruns silently). *)

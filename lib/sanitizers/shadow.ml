@@ -1,7 +1,9 @@
 (** Byte-granular shadow memory, the substrate of both sanitizer
-    simulators (paper §2.2).  Each application byte has one shadow byte
-    that records whether it is addressable and, if not, *why* — the
-    "why" is what makes the tools' reports specific ("heap-buffer-
+    simulators (paper §2.2), stored sparsely like the address space it
+    shadows ([Pages]): poisoning a whole region costs one write per page,
+    and a check skips uniform pages whole.  Each application byte has one
+    shadow byte that records whether it is addressable and, if not, *why*
+    — the "why" is what makes the tools' reports specific ("heap-buffer-
     overflow" vs. "stack-buffer-overflow" vs. "use after free"). *)
 
 type poison =
@@ -40,16 +42,17 @@ let describe = function
   | Heap_unallocated -> "unknown-address (not malloc'ed)"
   | Undefined_area -> "unaddressable memory"
 
-type t = { shadow : Bytes.t }
+type t = { shadow : Pages.t }
 
-let create () = { shadow = Bytes.make Mem.mem_size (code Addressable) }
+(* Everything starts addressable: the zero page. *)
+let create () = { shadow = Pages.create Mem.mem_size }
 
 let clamp a = max 0 (min Mem.mem_size a)
 
 let poison t ~(kind : poison) (addr : int64) (size : int) =
   let lo = clamp (Int64.to_int addr) in
   let hi = clamp (Int64.to_int addr + size) in
-  if hi > lo then Bytes.fill t.shadow lo (hi - lo) (code kind)
+  if hi > lo then Pages.fill t.shadow lo (hi - lo) (code kind)
 
 let unpoison t (addr : int64) (size : int) = poison t ~kind:Addressable addr size
 
@@ -58,15 +61,12 @@ let check t (addr : int64) (size : int) : (poison * int64) option =
   let lo = Int64.to_int addr in
   let hi = lo + size in
   if lo < 0 || hi > Mem.mem_size then Some (Undefined_area, addr)
-  else begin
-    let rec go a =
-      if a >= hi then None
-      else begin
-        let c = Bytes.get t.shadow a in
-        if c <> '\000' then Some (of_code c, Int64.of_int a) else go (a + 1)
-      end
-    in
-    go lo
-  end
+  else
+    match Pages.first_diff t.shadow lo hi (code Addressable) with
+    | -1 -> None
+    | a -> Some (of_code (Pages.get t.shadow a), Int64.of_int a)
 
 let is_poisoned t addr size = check t addr size <> None
+
+(** Shadow pages written below page granularity (see [Pages]). *)
+let resident_pages t = Pages.resident_pages t.shadow

@@ -295,6 +295,65 @@ let test_layout_field_index () =
   Alcotest.(check int) "index of b" 1 (Layout.field_index lenv "s" "b");
   Alcotest.(check int) "index of c" 2 (Layout.field_index lenv "s" "c")
 
+(* ---------------- incomplete types and undefined references ---------------- *)
+
+(* The whole user front end, prelude included, as every engine runs it. *)
+let expect_diag ~line ~col ~msg src =
+  match Loader.compile_program src with
+  | _ -> Alcotest.failf "accepted, expected %d:%d: %s" line col msg
+  | exception Diag.Error (pos, got) ->
+    Alcotest.(check string) "message" msg got;
+    Alcotest.(check (pair int int)) ("position of " ^ msg) (line, col)
+      (pos.Token.line, pos.Token.col)
+
+let test_incomplete_struct_rejected () =
+  expect_diag ~line:3 ~col:10 ~msg:"sizeof operand has incomplete type struct S"
+    "struct S;\nint main(void) {\n  return sizeof(struct S);\n}\n";
+  expect_diag ~line:4 ~col:10 ~msg:"sizeof operand has incomplete type struct S"
+    "struct S;\nint main(void) {\n  struct S *s = 0;\n  return sizeof(*s);\n}\n";
+  expect_diag ~line:2 ~col:10 ~msg:"variable \"g\" has incomplete type struct S"
+    "struct S;\nstruct S g;\nint main(void) { return 0; }\n";
+  expect_diag ~line:1 ~col:54
+    ~msg:"variable \"l\" has incomplete type struct S"
+    "struct S; int main(void) { struct S *p = 0; struct S l; return 0; }";
+  expect_diag ~line:1 ~col:46
+    ~msg:"pointer arithmetic operand has incomplete type struct S"
+    "struct S; int main(void) { struct S *p = 0; p++; return 0; }";
+  expect_diag ~line:1 ~col:53
+    ~msg:"member access operand has incomplete type struct S"
+    "struct S; int main(void) { struct S *p = 0; return p->x; }";
+  (* a struct is complete only after its closing brace *)
+  expect_diag ~line:1 ~col:21 ~msg:"field \"a\" has incomplete type struct A"
+    "struct A { struct A a; };\nint main(void) { return 0; }\n";
+  expect_diag ~line:2 ~col:21 ~msg:"field \"s\" has incomplete type struct S"
+    "struct S;\nstruct T { struct S s[2]; };\nint main(void) { return 0; }\n"
+
+let test_incomplete_struct_pointers_accepted () =
+  ignore
+    (Loader.compile_program
+       "struct S; struct L { struct L *next; struct S *opaque; };\n\
+        struct S *id(struct S *p) { return p; }\n\
+        int main(void) { struct L l; l.next = 0; l.opaque = id(0); return l.opaque == 0; }")
+
+let test_undefined_reference () =
+  expect_diag ~line:2 ~col:25 ~msg:"undefined reference to 'f'"
+    "int f(int);\nint main(void) { return f(1); }\n";
+  (* taking the address is a reference too; the first one is reported *)
+  expect_diag ~line:3 ~col:34 ~msg:"undefined reference to 'g'"
+    "int f(int);\nint g(int);\nint main(void) { int (*h)(int) = g; return f(1) + h(2); }\n"
+
+let test_defined_or_libc_prototypes_accepted () =
+  List.iter
+    (fun src -> ignore (Loader.compile_program src))
+    [
+      (* declared, never referenced *)
+      "int f(int);\nint main(void) { return 3; }\n";
+      (* declared before, defined after the use *)
+      "int f(int);\nint main(void) { return f(1); }\nint f(int x) { return x; }\n";
+      (* a libc function redeclared by the program *)
+      "int abs(int x);\nint main(void) { return abs(-1); }\n";
+    ]
+
 let () =
   Alcotest.run "cfront"
     [
@@ -341,5 +400,15 @@ let () =
           Alcotest.test_case "struct padding" `Quick test_layout_struct_padding;
           Alcotest.test_case "nested structs" `Quick test_layout_nested;
           Alcotest.test_case "field index" `Quick test_layout_field_index;
+        ] );
+      ( "link",
+        [
+          Alcotest.test_case "incomplete struct rejected" `Quick
+            test_incomplete_struct_rejected;
+          Alcotest.test_case "incomplete pointers accepted" `Quick
+            test_incomplete_struct_pointers_accepted;
+          Alcotest.test_case "undefined reference" `Quick test_undefined_reference;
+          Alcotest.test_case "defined or libc prototypes" `Quick
+            test_defined_or_libc_prototypes_accepted;
         ] );
     ]

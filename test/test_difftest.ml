@@ -320,6 +320,24 @@ let test_oracle_deterministic () =
   in
   Alcotest.(check string) "stable verdict" (verdict 99) (verdict 99)
 
+(* Front-end rejections are uniform: every configuration reports the
+   same error key, so the oracle rejects instead of diverging or
+   escaping with a host exception. *)
+let test_oracle_rejects_front_end_errors () =
+  List.iter
+    (fun (src, needle) ->
+      match Oracle.check src with
+      | Oracle.Reject key ->
+        Alcotest.(check bool) (needle ^ " in " ^ key) true
+          (Util.string_contains ~needle key)
+      | Oracle.Agree _ -> Alcotest.failf "accepted: %s" src
+      | Oracle.Diverge { mismatch; _ } -> Alcotest.failf "diverged: %s" mismatch)
+    [
+      ("int f(int);\nint main(void) { return f(1); }\n", "undefined reference to 'f'");
+      ( "struct S;\nint main(void) { struct S *s = 0; return sizeof(*s); }\n",
+        "incomplete type struct S" );
+    ]
+
 (* ---------------- the shrinker ---------------- *)
 
 let test_shrinker_reduces () =
@@ -754,6 +772,8 @@ let () =
           Alcotest.test_case "fixed-seed smoke run" `Slow test_oracle_smoke;
           Alcotest.test_case "deterministic verdict" `Quick
             test_oracle_deterministic;
+          Alcotest.test_case "front-end errors reject uniformly" `Quick
+            test_oracle_rejects_front_end_errors;
         ] );
       ( "shrinker",
         [

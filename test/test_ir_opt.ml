@@ -506,22 +506,62 @@ let test_roundtrip_full_program () =
   (* the libc-linked meteor module: ~everything the IR can express *)
   ignore (roundtrip_module (Loader.load_program Benchprogs.meteor.Benchprogs.b_source))
 
+(* What a run shows: output, exit code, detected error, managed steps. *)
+let observe_run ?(argv = [ "program" ]) ?(input = "") (m : Irmod.t) =
+  let r = Interp.run ~argv (Interp.create ~input m) in
+  Printf.sprintf "exit=%d steps=%d error=%s\n%s" r.Interp.exit_code
+    r.Interp.steps
+    (match r.Interp.error with
+    | None -> "none"
+    | Some (cat, msg) -> Merror.category_name cat ^ ": " ^ msg)
+    r.Interp.output
+
+(* print -> parse -> run must behave exactly like the module printed. *)
+let check_reparsed_runs ~name ?argv ?input src =
+  let m = Loader.load_program src in
+  let reparsed = Irparse.parse (Irprint.module_to_string m) in
+  Alcotest.(check string) name (observe_run ?argv ?input m)
+    (observe_run ?argv ?input reparsed)
+
 let test_parsed_ir_executes () =
-  let src = {|
+  check_reparsed_runs ~name:"loop"
+    {|
 int main(void) {
   int total = 0;
   for (int i = 1; i <= 5; i++) { total += i; }
   printf("total=%d\n", total);
   return 0;
 }
-|} in
-  let m = Loader.load_program src in
-  let st = Interp.create m in
-  let expected = (Interp.run st).Interp.output in
-  let reparsed = Irparse.parse (Irprint.module_to_string (Loader.load_program src)) in
-  let st2 = Interp.create reparsed in
-  Alcotest.(check string) "reparsed module runs identically" expected
-    (Interp.run st2).Interp.output
+|};
+  (* float immediates and globals must print exactly, not to 6 or 12
+     significant digits *)
+  check_reparsed_runs ~name:"float constants"
+    {|
+double g = 0.12345678912345;
+float gf = 16777217.0f;
+int main(void) {
+  double d = 3.0 * 0.12345678912345;
+  float f = 16777216.0f + 1.0f;
+  double zero = 0.0;
+  printf("%.17g %.17g %.17g %.17g\n", d, (double)f, g, (double)gf);
+  printf("%g %g\n", 1.0 / zero, -1.0 / zero);
+  printf("%d\n", (zero / zero) != (zero / zero));
+  return 0;
+}
+|}
+
+let test_reparsed_benchmarks_run () =
+  List.iter
+    (fun (b : Benchprogs.bench) ->
+      check_reparsed_runs ~name:b.Benchprogs.b_name b.Benchprogs.b_source)
+    Benchprogs.all
+
+let test_reparsed_corpus_runs () =
+  List.iter
+    (fun (p : Groundtruth.program) ->
+      check_reparsed_runs ~name:p.Groundtruth.id ~argv:p.Groundtruth.argv
+        ~input:p.Groundtruth.input p.Groundtruth.source)
+    Corpus.all
 
 let test_parse_errors_have_lines () =
   let expect_error text =
@@ -694,6 +734,10 @@ int main(void) { return sq(4); }
           Alcotest.test_case "full libc-linked module" `Quick
             test_roundtrip_full_program;
           Alcotest.test_case "parsed IR executes" `Quick test_parsed_ir_executes;
+          Alcotest.test_case "reparsed benchmarks run identically" `Slow
+            test_reparsed_benchmarks_run;
+          Alcotest.test_case "reparsed corpus runs identically" `Quick
+            test_reparsed_corpus_runs;
           Alcotest.test_case "errors carry line numbers" `Quick
             test_parse_errors_have_lines;
           QCheck_alcotest.to_alcotest gen_roundtrip_prop;

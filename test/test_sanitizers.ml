@@ -217,6 +217,58 @@ let test_vg_bad_free () =
     (detected
        (run_vg "int main(void) { int *p = (int*)malloc(4); free(p); free(p); return 0; }"))
 
+(* ---------------- page residency ---------------- *)
+
+(* The address space and every shadow are sparse page stores: a run pays
+   only for the pages it writes.  hello must touch at most 16 of the
+   4096 pages per store, so a return to eager zero-filling (or to
+   byte-wise poisoning of whole regions) fails here. *)
+
+let max_resident = 16
+
+let hello_native ?hooks_of ?(instrument = false) () =
+  let m = Loader.compile_user Benchprogs.hello.Benchprogs.b_source in
+  Pipeline.compile_native ~level:Pipeline.O0 m;
+  if instrument then Asan.instrument m;
+  let mem = Mem.create () in
+  let alloc = Alloc.create mem in
+  let shadows, hooks =
+    match hooks_of with
+    | Some f -> f mem alloc
+    | None -> ([], Hooks.default ~tool_name:"native")
+  in
+  let global_gap = if instrument then 32 else 0 in
+  let st = Nexec.create ~hooks ~global_gap ~mem ~alloc m in
+  let r = Nexec.run st in
+  Alcotest.(check string) "output" "Hello, World!\n" r.Nexec.output;
+  Mem.resident_pages mem :: List.map Shadow.resident_pages shadows
+
+let check_resident what counts =
+  List.iter
+    (fun n ->
+      if n > max_resident then
+        Alcotest.failf "%s: %d resident pages (at most %d expected)" what n
+          max_resident)
+    counts
+
+let test_residency_clang () = check_resident "clang -O0" (hello_native ())
+
+let test_residency_asan () =
+  check_resident "asan -O0"
+    (hello_native ~instrument:true
+       ~hooks_of:(fun mem alloc ->
+         let a, hooks = Asan.make ~mem ~alloc () in
+         ([ a.Asan.shadow ], hooks))
+       ())
+
+let test_residency_valgrind () =
+  check_resident "valgrind -O0"
+    (hello_native
+       ~hooks_of:(fun mem alloc ->
+         let mc, hooks = Memcheck.make ~mem ~alloc () in
+         ([ mc.Memcheck.addressable; mc.Memcheck.defined ], hooks))
+       ())
+
 let () =
   Alcotest.run "sanitizers"
     [
@@ -253,5 +305,12 @@ let () =
           Alcotest.test_case "sees libc heap traffic" `Quick
             test_vg_sees_libc_heap_traffic;
           Alcotest.test_case "bad frees" `Quick test_vg_bad_free;
+        ] );
+      ( "page residency",
+        [
+          Alcotest.test_case "hello under clang -O0" `Quick test_residency_clang;
+          Alcotest.test_case "hello under asan -O0" `Quick test_residency_asan;
+          Alcotest.test_case "hello under valgrind -O0" `Quick
+            test_residency_valgrind;
         ] );
     ]
