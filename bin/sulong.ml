@@ -299,15 +299,21 @@ let do_run_ir file args input_text =
     Verify.verify m;
     (* link the managed libc so textual IR can call printf & friends *)
     let m = Irmod.link m (Loader.libc_module ()) in
-    let st = Interp.create ~input:input_text m in
-    let r = Interp.run ~argv:(file :: args) st in
-    print_string r.Interp.output;
-    (match r.Interp.error with
-    | Some (cat, msg) ->
-      Printf.eprintf "[Safe Sulong] ERROR DETECTED (%s): %s\n"
-        (Merror.category_name cat) msg
-    | None -> ());
-    r.Interp.exit_code
+    (* a function defined nowhere is a link error, as for C sources *)
+    match Irmod.first_undefined_function m ~provided:Interp.is_builtin with
+    | Some name ->
+      Printf.eprintf "%s: undefined reference to '%s'\n" file name;
+      2
+    | None ->
+      let st = Interp.create ~input:input_text m in
+      let r = Interp.run ~argv:(file :: args) st in
+      print_string r.Interp.output;
+      (match r.Interp.error with
+      | Some (cat, msg) ->
+        Printf.eprintf "[Safe Sulong] ERROR DETECTED (%s): %s\n"
+          (Merror.category_name cat) msg
+      | None -> ());
+      r.Interp.exit_code
   with
   | Irparse.Parse_error (line, msg) ->
     Printf.eprintf "%s:%d: %s\n" file line msg;

@@ -154,7 +154,8 @@ let rec eval env (e : A.expr) : value =
   | A.CharLit c -> Int (Int64.of_int (Char.code c))
   | A.Unop (A.Neg, a) ->
     let ty = env.ty_of e in
-    let zero = if Ctype.is_float ty then Float 0.0 else Int 0L in
+    (* floats as [-0.0 - x], exactly as [Lower] emits it *)
+    let zero = if Ctype.is_float ty then Float (-0.0) else Int 0L in
     arith A.Sub ty zero (eval_at env a ty)
   | A.Unop (A.Bitnot, a) ->
     let ty = env.ty_of e in

@@ -162,10 +162,10 @@ let int_to_float ~(from_ : ity) (ft : fty) (v : int64) : float =
   round_f ft f
 
 (** The invariant every [FConst] must satisfy: finite (an inf/nan token
-    would not render back), not negative zero (the front end lowers
-    unary minus to [0.0 - x], so the token [-0.0] evaluates to +0.0 in
-    every engine — negative zeros may still *arise* at runtime, they
-    just cannot be literals), and pre-rounded for F32. *)
+    would not render back), not negative zero ([render_fconst] signs
+    only values below zero, so -0.0 would render as +0.0 — negative
+    zeros may still *arise* at runtime, they just cannot be literals),
+    and pre-rounded for F32. *)
 let fconst_ok (f : float) (ft : fty) : bool =
   f -. f = 0.0 (* finite: inf/nan fail this *)
   && (not (f = 0.0 && 1.0 /. f < 0.0))
@@ -439,9 +439,10 @@ let rec eval_var (env : env) (lookup : string -> value option) (e : expr) :
   | Un (Neg, a) -> begin
     match type_of a with
     | Ft ft ->
-      (* The front end lowers unary minus to [0.0 - x]; mirror that
-         exactly (it differs from IEEE negate on -0.0 and NaN sign). *)
-      VF (round_f ft (0.0 -. vf (recur a)))
+      (* The front end lowers unary minus to [-0.0 - x]; mirror that
+         exactly (it negates zeros like IEEE negate, but keeps a NaN's
+         sign). *)
+      VF (round_f ft (-0.0 -. vf (recur a)))
     | It t ->
       let pt = promote t in
       VI (normalize pt (Int64.neg (int_at a pt)))
@@ -688,7 +689,7 @@ let render_const v t =
     correctly-rounded decimal parse, and 9 digits round-trip any
     binary32 (including through the intermediate double).  Negative
     values render as unary minus on the absolute literal — exact,
-    because [0.0 - |f|] is [f] for every finite nonzero [f], matching
+    because [-0.0 - |f|] is [f] for every finite nonzero [f], matching
     the front end's lowering of unary minus. *)
 let render_fconst (f : float) (ft : fty) : string =
   let a = Float.abs f in

@@ -407,6 +407,23 @@ let regressions : (string * string * string) list =
       \  return 0;\n\
        }\n",
       "g1_end=0\nr=7\n" );
+    ( "float-neg-zero",
+      (* Unary minus on a float is [-0.0 - x]: -(+0.0) is -0.0, so every
+         division gives -inf.  Pre-fix, the front end and the constant
+         folder lowered it as [0.0 - x], which is +0.0 for x = +0.0 and
+         printed inf.  [g] is a folded initializer; [a], [b] and [c]
+         execute or fold depending on the configuration. *)
+      "static double g = -0.0;\n\
+       int main(void) {\n\
+      \  double z = 0.0;\n\
+      \  float f = 0.0f;\n\
+      \  double a = 1.0 / -z;\n\
+      \  double b = 1.0 / -0.0;\n\
+      \  float c = 1.0f / -f;\n\
+      \  printf(\"%f %f %f %f\\n\", a, b, (double)c, 1.0 / g);\n\
+      \  return 0;\n\
+       }\n",
+      "-inf -inf -inf -inf\n" );
   ]
 
 (** Run one regression through the full oracle; the common output must

@@ -59,46 +59,49 @@ type opclass = Cop | Cfp | Cmem
 (* Observability counters                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-opcode dispatch counts and inline-cache statistics, updated on
-   the hot path only when metrics were enabled at [create] time (one
-   predictable branch per op otherwise) and flushed into the global
-   [Metrics] registry when the run finishes. *)
-type opstats = {
-  mutable os_alloca : int;
-  mutable os_load : int;
-  mutable os_store : int;
-  mutable os_gep : int;
-  mutable os_binop : int;
-  mutable os_icmp : int;
-  mutable os_fcmp : int;
-  mutable os_cast : int;
-  mutable os_select : int;
-  mutable os_sancheck : int;
-  mutable os_call : int;
-  mutable os_term : int;
-  mutable os_phi_copy : int;
-  mutable os_ic_hit : int;
-  mutable os_ic_miss : int;
-}
+(* Per-opcode dispatch counts and inline-cache statistics, one slot per
+   op kind, updated on the hot path only when metrics were enabled at
+   [create] time (one predictable branch per op otherwise) and flushed
+   into the global [Metrics] registry when the run finishes.  Both tiers
+   index the same table: [op_metrics] is the one list of kinds. *)
+type opstats = int array
 
-let fresh_opstats () =
-  {
-    os_alloca = 0;
-    os_load = 0;
-    os_store = 0;
-    os_gep = 0;
-    os_binop = 0;
-    os_icmp = 0;
-    os_fcmp = 0;
-    os_cast = 0;
-    os_select = 0;
-    os_sancheck = 0;
-    os_call = 0;
-    os_term = 0;
-    os_phi_copy = 0;
-    os_ic_hit = 0;
-    os_ic_miss = 0;
-  }
+let op_alloca = 0
+let op_load = 1
+let op_store = 2
+let op_gep = 3
+let op_binop = 4
+let op_icmp = 5
+let op_fcmp = 6
+let op_cast = 7
+let op_select = 8
+let op_sancheck = 9
+let op_call = 10
+let op_term = 11
+let op_phi_copy = 12
+let op_ic_hit = 13
+let op_ic_miss = 14
+
+let op_metrics =
+  [
+    (op_alloca, "interp.op.alloca");
+    (op_load, "interp.op.load");
+    (op_store, "interp.op.store");
+    (op_gep, "interp.op.gep");
+    (op_binop, "interp.op.binop");
+    (op_icmp, "interp.op.icmp");
+    (op_fcmp, "interp.op.fcmp");
+    (op_cast, "interp.op.cast");
+    (op_select, "interp.op.select");
+    (op_sancheck, "interp.op.sancheck");
+    (op_call, "interp.op.call");
+    (op_term, "interp.op.terminator");
+    (op_phi_copy, "interp.phi_copies");
+    (op_ic_hit, "interp.ic.hits");
+    (op_ic_miss, "interp.ic.misses");
+  ]
+
+let fresh_opstats () : opstats = Array.make (List.length op_metrics) 0
 
 (* ------------------------------------------------------------------ *)
 (* Prepared code                                                       *)
@@ -969,6 +972,8 @@ let prepare_func (st : state) (f : Irfunc.t) : pfunc =
     pf_tier = Tier_interp;
   }
 
+let is_builtin (name : string) : bool = lookup_builtin name <> None
+
 (** Resolve a callee name to its target: a user function shadows a
     builtin of the same name; unknown names fail only when called. *)
 let resolve_callee st (name : string) : call_target =
@@ -1002,6 +1007,12 @@ let link_module st =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
+
+(** Count [n] executed operations of kind [k] (metrics on only). *)
+let[@inline] bump_by st k n =
+  if st.obs then st.opstats.(k) <- st.opstats.(k) + n
+
+let[@inline] bump st k = bump_by st k 1
 
 (* [profile.p_steps] is NOT bumped here: it always equals [st.steps]
    and is synced once when [run] builds its result. *)
@@ -1161,7 +1172,7 @@ and exec_block st (fr : frame) (blk : pblock) (copies : phicopy) :
         fr.fr_regs.(dests.(i)) <- tmp.(i)
       done
     end;
-    if st.obs then st.opstats.os_phi_copy <- st.opstats.os_phi_copy + n
+    bump_by st op_phi_copy n
   | Pc_missing -> failwith "interp: phi has no incoming edge for predecessor");
   (* On-stack replacement: at a loop header, probe the tier controller
      so a single long-running invocation can tier up mid-call.  The phi
@@ -1232,49 +1243,49 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
       (match instrs.(i) with
       | Palloca (r, mty, size) ->
         charge st fr Cop;
-        if st.obs then st.opstats.os_alloca <- st.opstats.os_alloca + 1;
+        bump st op_alloca;
         let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
         fr.fr_regs.(r) <- Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 })
       | Pload (r, s, p) ->
         charge st fr Cmem;
-        if st.obs then st.opstats.os_load <- st.opstats.os_load + 1;
+        bump st op_load;
         fr.fr_regs.(r) <- exec_load st s (pv fr p)
       | Pstore (s, v, p) ->
         charge st fr Cmem;
-        if st.obs then st.opstats.os_store <- st.opstats.os_store + 1;
+        bump st op_store;
         exec_store st s (pv fr v) (pv fr p)
       | Pgep (r, base, g) ->
         charge st fr Cop;
-        if st.obs then st.opstats.os_gep <- st.opstats.os_gep + 1;
+        bump st op_gep;
         fr.fr_regs.(r) <- exec_gep st fr (pv fr base) g
       | Pbinop (r, _, _, a, b, cls, f) ->
         charge st fr cls;
-        if st.obs then st.opstats.os_binop <- st.opstats.os_binop + 1;
+        bump st op_binop;
         fr.fr_regs.(r) <- f (pv fr a) (pv fr b)
       | Picmp (r, _, s, a, b, cmp) ->
         charge st fr Cop;
-        if st.obs then st.opstats.os_icmp <- st.opstats.os_icmp + 1;
+        bump st op_icmp;
         let y = Mval.as_int (pv fr b) in
         fr.fr_regs.(r) <-
           (if cmp s (Mval.as_int (pv fr a)) y then vtrue else vfalse)
       | Pfcmp (r, _, a, b, cmp) ->
         charge st fr Cfp;
-        if st.obs then st.opstats.os_fcmp <- st.opstats.os_fcmp + 1;
+        bump st op_fcmp;
         let y = Mval.as_float (pv fr b) in
         fr.fr_regs.(r) <-
           (if cmp (Mval.as_float (pv fr a)) y then vtrue else vfalse)
       | Pcast (r, _, _, _, v, f) ->
         charge st fr Cop;
-        if st.obs then st.opstats.os_cast <- st.opstats.os_cast + 1;
+        bump st op_cast;
         fr.fr_regs.(r) <- f (pv fr v)
       | Pselect (r, c, a, b) ->
         charge st fr Cop;
-        if st.obs then st.opstats.os_select <- st.opstats.os_select + 1;
+        bump st op_select;
         let cv = Mval.as_int (pv fr c) in
         fr.fr_regs.(r) <- pv fr (if cv <> 0L then a else b)
       | Psancheck ->
         charge st fr Cop;
-        if st.obs then st.opstats.os_sancheck <- st.opstats.os_sancheck + 1
+        bump st op_sancheck
       | Ploc (line, col) ->
         (* provenance marker: free — no [charge], so [steps] and the
            modeled cycle counts are bit-identical with metrics off/on *)
@@ -1282,7 +1293,7 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
         fr.fr_col <- col
       | Pcall (r, callee, pargs, scalars) ->
         charge st fr Cop;
-        if st.obs then st.opstats.os_call <- st.opstats.os_call + 1;
+        bump st op_call;
         fr.fr_func.pf_counters.c_calls <- fr.fr_func.pf_counters.c_calls + 1;
         let na = Array.length pargs in
         let argv = Array.make na Mval.zero in
@@ -1297,14 +1308,12 @@ and exec_instrs st (fr : frame) (blk : pblock) : Mval.t option =
             | Mobject.Pfunc name ->
               let tgt =
                 if name == ic.ic_name || String.equal name ic.ic_name then begin
-                  if st.obs then
-                    st.opstats.os_ic_hit <- st.opstats.os_ic_hit + 1;
+                  bump st op_ic_hit;
                   ic.ic_target
                 end
                 else begin
                   (* inline-cache miss: re-resolve and remember *)
-                  if st.obs then
-                    st.opstats.os_ic_miss <- st.opstats.os_ic_miss + 1;
+                  bump st op_ic_miss;
                   let t = resolve_callee st name in
                   ic.ic_name <- name;
                   ic.ic_target <- t;
@@ -1335,7 +1344,7 @@ and exec_target st (tgt : call_target) argv scalars : Mval.t option =
 
 and exec_term st (fr : frame) (t : pterm) : Mval.t option =
   charge st fr Cop;
-  if st.obs then st.opstats.os_term <- st.opstats.os_term + 1;
+  bump st op_term;
   match t with
   | Pret (Some v) -> Some (pv fr v)
   | Pret None -> None
@@ -1510,22 +1519,7 @@ let reset ?input (st : state) : unit =
   st.profile.p_allocs <- 0;
   st.profile.p_alloc_bytes <- 0;
   st.profile.p_steps <- 0;
-  let os = st.opstats in
-  os.os_alloca <- 0;
-  os.os_load <- 0;
-  os.os_store <- 0;
-  os.os_gep <- 0;
-  os.os_binop <- 0;
-  os.os_icmp <- 0;
-  os.os_fcmp <- 0;
-  os.os_cast <- 0;
-  os.os_select <- 0;
-  os.os_sancheck <- 0;
-  os.os_call <- 0;
-  os.os_term <- 0;
-  os.os_phi_copy <- 0;
-  os.os_ic_hit <- 0;
-  os.os_ic_miss <- 0;
+  Array.fill st.opstats 0 (Array.length st.opstats) 0;
   (match st.trace with Some b -> Buffer.clear b | None -> ());
   (* Step counter rewound to zero: re-arm the profiler's delta markers
      (accumulated attribution survives — bench iterations sum). *)
@@ -1585,23 +1579,8 @@ let report_of_error st (cat : Merror.category) (msg : string) : Bugreport.t =
 
 let flush_metrics st =
   if st.obs then begin
-    let os = st.opstats in
     let c name v = if v <> 0 then Metrics.add (Metrics.counter name) v in
-    c "interp.op.alloca" os.os_alloca;
-    c "interp.op.load" os.os_load;
-    c "interp.op.store" os.os_store;
-    c "interp.op.gep" os.os_gep;
-    c "interp.op.binop" os.os_binop;
-    c "interp.op.icmp" os.os_icmp;
-    c "interp.op.fcmp" os.os_fcmp;
-    c "interp.op.cast" os.os_cast;
-    c "interp.op.select" os.os_select;
-    c "interp.op.sancheck" os.os_sancheck;
-    c "interp.op.call" os.os_call;
-    c "interp.op.terminator" os.os_term;
-    c "interp.phi_copies" os.os_phi_copy;
-    c "interp.ic.hits" os.os_ic_hit;
-    c "interp.ic.misses" os.os_ic_miss;
+    List.iter (fun (k, name) -> c name st.opstats.(k)) op_metrics;
     c "interp.steps" st.steps;
     c "heap.allocs" st.heap.Mheap.alloc_count;
     c "heap.frees" st.heap.Mheap.free_count;

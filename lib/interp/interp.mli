@@ -37,25 +37,30 @@ type profile = {
 (** Cost class charged to the profile for one executed operation. *)
 type opclass = Cop | Cfp | Cmem
 
-(** Per-opcode dispatch counts and inline-cache statistics, collected
-    only when metrics were enabled at [create] time. *)
-type opstats = {
-  mutable os_alloca : int;
-  mutable os_load : int;
-  mutable os_store : int;
-  mutable os_gep : int;
-  mutable os_binop : int;
-  mutable os_icmp : int;
-  mutable os_fcmp : int;
-  mutable os_cast : int;
-  mutable os_select : int;
-  mutable os_sancheck : int;
-  mutable os_call : int;
-  mutable os_term : int;
-  mutable os_phi_copy : int;
-  mutable os_ic_hit : int;
-  mutable os_ic_miss : int;
-}
+(** Per-opcode dispatch counts and inline-cache statistics, one slot per
+    op kind, collected only when metrics were enabled at [create] time. *)
+type opstats = int array
+
+(** The op kinds: indices into [opstats]. *)
+
+val op_alloca : int
+val op_load : int
+val op_store : int
+val op_gep : int
+val op_binop : int
+val op_icmp : int
+val op_fcmp : int
+val op_cast : int
+val op_select : int
+val op_sancheck : int
+val op_call : int
+val op_term : int
+val op_phi_copy : int
+val op_ic_hit : int
+val op_ic_miss : int
+
+(** Every op kind with the metric counter it is flushed into. *)
+val op_metrics : (int * string) list
 
 (* ------------------------------------------------------------------ *)
 (* Prepared code (see interp.ml for the full commentary)               *)
@@ -276,6 +281,10 @@ val call_function :
 (** Dispatch a resolved call target (user function / builtin). *)
 val exec_target :
   state -> call_target -> Mval.t array -> Irtype.scalar array -> Mval.t option
+
+(** Is [name] a host builtin (a function the interpreter itself
+    provides)? *)
+val is_builtin : string -> bool
 
 (** Resolve a callee name: user function shadows builtin; unknown names
     fail only when called.  Used on indirect-call inline-cache misses. *)

@@ -39,6 +39,43 @@ let find_extern m name = List.find_opt (fun e -> e.e_name = name) m.externs
 
 let has_func m name = find_func m name <> None
 
+(** The first function [m] references — as a direct callee, a function
+    address operand or in a global initializer — that [m] does not
+    define and [provided] (the host builtins) does not supply: what a
+    linker reports as an undefined reference. *)
+let first_undefined_function (m : t) ~(provided : string -> bool) :
+    string option =
+  let defined = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace defined f.Irfunc.name ()) m.funcs;
+  let exception Undefined of string in
+  let check name =
+    if not (Hashtbl.mem defined name || provided name) then raise (Undefined name)
+  in
+  let value = function Instr.FuncAddr name -> check name | _ -> () in
+  let rec init = function
+    | Gfunc_addr name -> check name
+    | Garray l | Gstruct_init l -> List.iter init l
+    | Gzero | Gint _ | Gfloat _ | Gstring _ | Gglobal_addr _ -> ()
+  in
+  try
+    List.iter (fun g -> init g.g_init) m.globals;
+    List.iter
+      (fun f ->
+        List.iter
+          (fun (b : Irfunc.block) ->
+            List.iter
+              (fun i ->
+                (match i with
+                | Instr.Call (_, _, Instr.Direct name, _) -> check name
+                | _ -> ());
+                List.iter value (Instr.uses_of i))
+              b.instrs;
+            List.iter value (Instr.term_uses b.term))
+          f.Irfunc.blocks)
+      m.funcs;
+    None
+  with Undefined name -> Some name
+
 (** Total static instruction count (parser/startup cost model input). *)
 let instr_count m =
   List.fold_left (fun acc f -> acc + Irfunc.instr_count f) 0 m.funcs

@@ -281,6 +281,56 @@ let plan_inlines (st0 : state) (pf : pfunc) :
   (sites, !next_base)
 
 (* ------------------------------------------------------------------ *)
+(* Walks over prepared code                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** Apply [f] to every edge of a terminator. *)
+let iter_edges (f : pedge -> unit) : pterm -> unit = function
+  | Pret _ | Punreachable -> ()
+  | Pbr e -> f e
+  | Pcondbr (_, a, b) ->
+    f a;
+    f b
+  | Pswitch (_, impl, d) -> (
+    f d;
+    match impl with
+    | Sw_linear (_, es) -> Array.iter f es
+    | Sw_table tbl -> Hashtbl.iter (fun _ e -> f e) tbl)
+
+(** Apply [f] to the phi copies of every edge of a terminator. *)
+let iter_edge_copies (f : phicopy -> unit) : pterm -> unit =
+  iter_edges (function Edge (_, c) -> f c | Edge_unknown _ -> ())
+
+(** Apply [f] to every operand an instruction reads. *)
+let iter_reads (f : pval -> unit) : pinstr -> unit = function
+  | Palloca _ | Psancheck | Ploc _ -> ()
+  | Pload (_, _, p) -> f p
+  | Pstore (_, v, p) ->
+    f v;
+    f p
+  | Pgep (_, b, g) ->
+    f b;
+    Array.iter (fun (v, _) -> f v) g.pg_dyn
+  | Pbinop (_, _, _, a, b, _, _) | Picmp (_, _, _, a, b, _) | Pfcmp (_, _, a, b, _)
+    ->
+    f a;
+    f b
+  | Pcast (_, _, _, _, v, _) -> f v
+  | Pselect (_, c, a, b) ->
+    f c;
+    f a;
+    f b
+  | Pcall (_, callee, args, _) ->
+    (match callee with Pindirect (v, _) -> f v | Pdirect _ -> ());
+    Array.iter f args
+
+(** Apply [f] to the operand a terminator itself reads (not its edges'
+    phi sources). *)
+let iter_term_reads (f : pval -> unit) : pterm -> unit = function
+  | Pret (Some v) | Pcondbr (v, _, _) | Pswitch (v, _, _) -> f v
+  | Pret None | Pbr _ | Punreachable -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Register classification                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -300,53 +350,11 @@ let reg_use_counts_of (blocks_list : pblock array list) (entry : phicopy)
     | Pc_copy (_, srcs) -> Array.iter pv srcs
     | Pc_none | Pc_missing -> ()
   in
-  let edge = function Edge (_, c) -> copies c | Edge_unknown _ -> () in
-  let term = function
-    | Pret (Some v) -> pv v
-    | Pret None | Punreachable -> ()
-    | Pbr e -> edge e
-    | Pcondbr (c, a, b) ->
-      pv c;
-      edge a;
-      edge b
-    | Pswitch (v, impl, d) ->
-      pv v;
-      edge d;
-      (match impl with
-      | Sw_linear (_, es) -> Array.iter edge es
-      | Sw_table tbl -> Hashtbl.iter (fun _ e -> edge e) tbl)
-  in
-  let instr = function
-    | Palloca _ | Psancheck | Ploc _ -> ()
-    | Pload (_, _, p) -> pv p
-    | Pstore (_, v, p) ->
-      pv v;
-      pv p
-    | Pgep (_, b, g) ->
-      pv b;
-      Array.iter (fun (v, _) -> pv v) g.pg_dyn
-    | Pbinop (_, _, _, a, b, _, _) ->
-      pv a;
-      pv b
-    | Picmp (_, _, _, a, b, _) ->
-      pv a;
-      pv b
-    | Pfcmp (_, _, a, b, _) ->
-      pv a;
-      pv b
-    | Pcast (_, _, _, _, v, _) -> pv v
-    | Pselect (_, c, a, b) ->
-      pv c;
-      pv a;
-      pv b
-    | Pcall (_, callee, args, _) ->
-      (match callee with Pindirect (v, _) -> pv v | Pdirect _ -> ());
-      Array.iter pv args
-  in
   List.iter
     (Array.iter (fun blk ->
-         Array.iter instr blk.pb_instrs;
-         term blk.pb_term))
+         Array.iter (iter_reads pv) blk.pb_instrs;
+         iter_term_reads pv blk.pb_term;
+         iter_edge_copies copies blk.pb_term))
     blocks_list;
   copies entry;
   uses
@@ -397,23 +405,11 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
   List.iter
     (fun blocks ->
       let entry_pred = ref false in
-      let edge = function
-        | Edge (0, _) -> entry_pred := true
-        | Edge _ | Edge_unknown _ -> ()
-      in
       Array.iter
         (fun blk ->
-          match blk.pb_term with
-          | Pret _ | Punreachable -> ()
-          | Pbr e -> edge e
-          | Pcondbr (_, a, b) ->
-            edge a;
-            edge b
-          | Pswitch (_, impl, d) ->
-            edge d;
-            (match impl with
-            | Sw_linear (_, es) -> Array.iter edge es
-            | Sw_table tbl -> Hashtbl.iter (fun _ e -> edge e) tbl))
+          iter_edges
+            (function Edge (0, _) -> entry_pred := true | Edge _ | Edge_unknown _ -> ())
+            blk.pb_term)
         blocks;
       let entry_pred = !entry_pred in
       Array.iteri
@@ -453,13 +449,13 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
       -> ()
     | _ -> kill r
   in
+  let candidate r = r >= 0 && r < nregs && scalar_of.(r) <> None in
   let copies = function
     | Pc_copy (dests, srcs) ->
       Array.iter wr dests;
       Array.iter pv srcs
     | Pc_none | Pc_missing -> ()
   in
-  let edge = function Edge (_, c) -> copies c | Edge_unknown _ -> () in
   List.iter
     (fun blocks ->
       Array.iteri
@@ -467,55 +463,14 @@ let plan_slots (blocks_list : pblock array list) (entry : phicopy)
           Array.iteri
             (fun ii i ->
               match i with
-              | Palloca _ | Psancheck | Ploc _ -> ()
-              | Pload (_, s, p) -> begin
-                match p with
-                | Preg r when r >= 0 && r < nregs && scalar_of.(r) <> None ->
-                  slot_use blocks bi ii r s
-                | p -> pv p
-              end
-              | Pstore (s, v, p) -> begin
+              | Pload (_, s, Preg r) when candidate r -> slot_use blocks bi ii r s
+              | Pstore (s, v, Preg r) when candidate r ->
                 pv v;
-                match p with
-                | Preg r when r >= 0 && r < nregs && scalar_of.(r) <> None ->
-                  slot_use blocks bi ii r s
-                | p -> pv p
-              end
-              | Pgep (_, b, g) ->
-                pv b;
-                Array.iter (fun (v, _) -> pv v) g.pg_dyn
-              | Pbinop (_, _, _, a, b, _, _) ->
-                pv a;
-                pv b
-              | Picmp (_, _, _, a, b, _) ->
-                pv a;
-                pv b
-              | Pfcmp (_, _, a, b, _) ->
-                pv a;
-                pv b
-              | Pcast (_, _, _, _, v, _) -> pv v
-              | Pselect (_, c, a, b) ->
-                pv c;
-                pv a;
-                pv b
-              | Pcall (_, callee, args, _) ->
-                (match callee with Pindirect (v, _) -> pv v | Pdirect _ -> ());
-                Array.iter pv args)
+                slot_use blocks bi ii r s
+              | i -> iter_reads pv i)
             blk.pb_instrs;
-          match blk.pb_term with
-          | Pret (Some v) -> pv v
-          | Pret None | Punreachable -> ()
-          | Pbr e -> edge e
-          | Pcondbr (c, a, b) ->
-            pv c;
-            edge a;
-            edge b
-          | Pswitch (v, impl, d) ->
-            pv v;
-            edge d;
-            (match impl with
-            | Sw_linear (_, es) -> Array.iter edge es
-            | Sw_table tbl -> Hashtbl.iter (fun _ e -> edge e) tbl))
+          iter_term_reads pv blk.pb_term;
+          iter_edge_copies copies blk.pb_term)
         blocks)
     blocks_list;
   copies entry;
@@ -594,60 +549,34 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
     add wf r (fk src);
     add wp r (pk src)
   in
-  let boxed r =
-    add wi r Wno;
-    add wf r Wno;
-    add wp r Wno
+  let res r i f p =
+    add wi r (if i then Wyes else Wno);
+    add wf r (if f then Wyes else Wno);
+    add wp r (if p then Wyes else Wno)
   in
-  let int_res r =
-    add wi r Wyes;
-    add wf r Wno;
-    add wp r Wno
-  in
-  let float_res r =
-    add wi r Wno;
-    add wf r Wyes;
-    add wp r Wno
+  let boxed r = res r false false false in
+  (* the class a value of scalar [s] lands in *)
+  let scalar_res r s =
+    if Irsem.small s then res r true false false
+    else if s = Irtype.F32 || s = Irtype.F64 then res r false true false
+    else boxed r
   in
   let copies = function
     | Pc_copy (dests, srcs) -> Array.iteri (fun i d -> move d srcs.(i)) dests
     | Pc_none | Pc_missing -> ()
   in
-  let edge = function Edge (_, c) -> copies c | Edge_unknown _ -> () in
-  let term = function
-    | Pret _ | Punreachable -> ()
-    | Pbr e -> edge e
-    | Pcondbr (_, a, b) ->
-      edge a;
-      edge b
-    | Pswitch (_, impl, d) ->
-      edge d;
-      (match impl with
-      | Sw_linear (_, es) -> Array.iter edge es
-      | Sw_table tbl -> Hashtbl.iter (fun _ e -> edge e) tbl)
-  in
   let instr = function
     | Palloca (r, _, _) -> begin
       match Hashtbl.find_opt slots r with
-      | None ->
-        add wi r Wno;
-        add wf r Wno;
-        add wp r Wyes
+      | None -> res r false false true
       | Some s ->
         (* the alloca writes the slot's zero in the slot's class *)
-        if Irsem.small s then int_res r
-        else if s = Irtype.F32 || s = Irtype.F64 then float_res r
-        else boxed r
+        scalar_res r s
     end
-    | Pload (r, s, _) ->
-      if Irsem.small s then int_res r
-      else if s = Irtype.F32 || s = Irtype.F64 then float_res r
-      else boxed r
+    | Pload (r, s, _) -> scalar_res r s
     | Pstore (s, _, Preg rp) when Hashtbl.mem slots rp ->
       (* a whole-slot store writes the slot register in its class *)
-      if Irsem.small s then int_res rp
-      else if s = Irtype.F32 || s = Irtype.F64 then float_res rp
-      else boxed rp
+      scalar_res rp s
     | Pstore _ | Psancheck | Ploc _ -> ()
     | Pgep (r, base, _) ->
       add wi r Wno;
@@ -658,19 +587,19 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
         | Pimm (Mval.Vptr (Mobject.Pobj _)) -> Wyes
         | Pimm _ | Pfail _ -> Wno)
     | Pbinop (r, _, s, _, _, cls, _) ->
-      if cls = Cfp then float_res r
-      else if Irsem.small s then int_res r
+      if cls = Cfp then res r false true false
+      else if Irsem.small s then res r true false false
       else boxed r
-    | Picmp (r, _, _, _, _, _) -> int_res r
-    | Pfcmp (r, _, _, _, _) -> int_res r
+    | Picmp (r, _, _, _, _, _) | Pfcmp (r, _, _, _, _) -> res r true false false
     | Pcast (r, op, from, into, _, _) -> begin
       match (op, Irsem.cast op from into) with
       | (Instr.Ptrtoint | Instr.Inttoptr), _
       | Instr.Bitcast, (Irsem.Int_to_int _ | Irsem.Float_to_float _) ->
         boxed r
       | _, (Irsem.Int_to_int _ | Irsem.Float_to_int _) when Irsem.small into ->
-        int_res r
-      | _, (Irsem.Int_to_float _ | Irsem.Float_to_float _) -> float_res r
+        res r true false false
+      | _, (Irsem.Int_to_float _ | Irsem.Float_to_float _) ->
+        res r false true false
       | _ -> boxed r
     end
     | Pselect (r, _, a, b) ->
@@ -681,7 +610,7 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
   List.iter
     (Array.iter (fun blk ->
          Array.iter instr blk.pb_instrs;
-         term blk.pb_term))
+         iter_edge_copies copies blk.pb_term))
     blocks_list;
   copies entry;
   List.iter (Array.iter boxed) boxed_roots;
@@ -716,26 +645,47 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
       else Rbox)
 
 (* ------------------------------------------------------------------ *)
-(* The compiler                                                        *)
+(* Step charges                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Every compiled instruction opens with the same inlined step-charge
-   sequence — the same writes, in the same order, with the same raise
-   point as [Interp.charge]:
+(* Every compiled operation opens with one of these: the same writes, in
+   the same order, with the same raise point as [Interp.charge] — the
+   step, the instance's hotness counter for the op's cost class, the
+   limit check — then (metrics on) the op-kind counter, after the check
+   so a timeout leaves the stats exactly as the interpreter would.
 
-     st.steps <- st.steps + 1;
-     ctrs.c_X <- ctrs.c_X + 1;          (* instance's hotness counter *)
-     if st.steps > limit then raise Step_limit_exceeded;
-     if obs then os.os_X <- os.os_X + 1;
+   They are closed and [@inline] and must stay in this module: dune
+   builds with [-opaque], so ocamlopt sees no body across modules and a
+   helper imported from elsewhere would be an out-of-line [caml_applyN]
+   call per executed operation, while a same-module one compiles to the
+   hand-written sequence.  [ctrs] is the instance's counter record,
+   captured at compile time (a compiled body only ever runs in the
+   state that compiled it). *)
 
-   It is spelled out at each site rather than shared through a closure
-   record: without flambda a `charge st` call is an indirect call per
-   executed operation, which at ~3M operations per benchmark run is a
-   measurable share of tier-2 time.  [ctrs] is the instance's counter
-   record (captured at compile time — a compiled body only ever runs in
-   the state that compiled it), and the opstat bump comes after the
-   limit check so a timeout leaves the stats exactly as the interpreter
-   would. *)
+let[@inline] tick_op (st : state) (ctrs : counters) (limit : int) (obs : bool)
+    (os : int array) (k : int) =
+  st.steps <- st.steps + 1;
+  ctrs.c_ops <- ctrs.c_ops + 1;
+  if st.steps > limit then raise Step_limit_exceeded;
+  if obs then Array.unsafe_set os k (Array.unsafe_get os k + 1)
+
+let[@inline] tick_fp (st : state) (ctrs : counters) (limit : int) (obs : bool)
+    (os : int array) (k : int) =
+  st.steps <- st.steps + 1;
+  ctrs.c_fp <- ctrs.c_fp + 1;
+  if st.steps > limit then raise Step_limit_exceeded;
+  if obs then Array.unsafe_set os k (Array.unsafe_get os k + 1)
+
+let[@inline] tick_mem (st : state) (ctrs : counters) (limit : int) (obs : bool)
+    (os : int array) (k : int) =
+  st.steps <- st.steps + 1;
+  ctrs.c_mem <- ctrs.c_mem + 1;
+  if st.steps > limit then raise Step_limit_exceeded;
+  if obs then Array.unsafe_set os k (Array.unsafe_get os k + 1)
+
+(* ------------------------------------------------------------------ *)
+(* Compile context                                                     *)
+(* ------------------------------------------------------------------ *)
 
 (** How an instance's [Pret] is compiled: a real function return, or —
     for an inlined callee — the interpreter's post-call protocol (depth
@@ -743,14 +693,1470 @@ let classify (blocks_list : pblock array list) (entry : phicopy)
     call site's continuation. *)
 type ret_mode = Ret_fun | Ret_inline of int * cont
 
+(** What the per-construct compilers below read at compile time.  The
+    first eight fields are shared by the caller and every inlined
+    instance (one merged register file); the rest belong to the
+    instance being compiled.  Compilers destructure the record before
+    building their closures, so a closure captures only the plain
+    values it uses. *)
+type cx = {
+  cls : rclass array;  (** storage class of every merged register *)
+  slots : (int, Irtype.scalar) Hashtbl.t;  (** see [plan_slots] *)
+  uses : int array;  (** see [reg_use_counts_of] *)
+  obs : bool;  (** metrics on *)
+  os : opstats;
+  limit : int;  (** the step limit *)
+  heap : Mheap.t;
+  prof : Profile.t option;
+  ctrs : counters;  (** the instance's hotness counters *)
+  ctx : string;  (** the instance's error context *)
+  cells : cont ref array;  (** the instance's block closures *)
+  sites : (int * int, inline_site) Hashtbl.t;  (** calls to inline *)
+  ret : ret_mode;
+}
+
 let unset : cont = fun _ _ -> failwith "closcomp: block not compiled"
 
+(* ------------------------------------------------------------------ *)
+(* Operand access by register class                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Boxed view of any operand; unboxed registers re-box on read (their
+    unboxed slot holds exactly what the interpreter's box would). *)
+let getter (cls : rclass array) (v : pval) : frame -> Mval.t =
+  match v with
+  | Preg r -> begin
+    match cls.(r) with
+    | Rint -> fun fr -> Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs r))
+    | Rfloat -> fun fr -> Mval.Vfloat (Array.unsafe_get fr.fr_fregs r)
+    | Rptr ->
+      fun fr ->
+        Mval.Vptr
+          (Mobject.Pobj
+             {
+               Mobject.obj = Array.unsafe_get fr.fr_pobj r;
+               moff = Array.unsafe_get fr.fr_poff r;
+             })
+    | Rbox -> fun fr -> Array.unsafe_get fr.fr_regs r
+  end
+  | Pimm v -> fun _ -> v
+  | Pfail msg -> fun _ -> failwith msg
+
+(** Native-int view, for operands of small-scalar operations.  The
+    [Int64.to_int] truncation of a boxed operand is exact for every
+    well-typed small operand (normalized <=32-bit values), and for any
+    other int64 every consumer re-masks/re-normalizes to <=32 bits,
+    which only depends on the low bits [to_int] preserves.
+    Float/pointer-classified operands fall through the boxed view so
+    [Mval.as_int] raises or cookies exactly like the interpreter. *)
+let iget (cls : rclass array) (v : pval) : frame -> int =
+  match v with
+  | Preg r when cls.(r) = Rint -> fun fr -> Array.unsafe_get fr.fr_iregs r
+  | Preg r when cls.(r) = Rbox ->
+    fun fr -> Int64.to_int (Mval.as_int (Array.unsafe_get fr.fr_regs r))
+  | Pimm (Mval.Vint v) ->
+    let c = Int64.to_int v in
+    fun _ -> c
+  | v ->
+    let g = getter cls v in
+    fun fr -> Int64.to_int (Mval.as_int (g fr))
+
+(** Result writer for int-producing operations (classification
+    guarantees such destinations are [Rint] or [Rbox]). *)
+let iset (cls : rclass array) (r : int) : frame -> int -> unit =
+  if cls.(r) = Rint then fun fr v -> Array.unsafe_set fr.fr_iregs r v
+  else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vint (Int64.of_int v))
+
+(** Native-float view; non-float operands fall through [Mval.as_float]
+    (int-to-float widening, invalid_arg on pointers) like the
+    interpreter. *)
+let fget (cls : rclass array) (v : pval) : frame -> float =
+  match v with
+  | Preg r when cls.(r) = Rfloat -> fun fr -> Array.unsafe_get fr.fr_fregs r
+  | Preg r when cls.(r) = Rint ->
+    fun fr -> float_of_int (Array.unsafe_get fr.fr_iregs r)
+  | Preg r when cls.(r) = Rbox ->
+    fun fr -> Mval.as_float (Array.unsafe_get fr.fr_regs r)
+  | Pimm (Mval.Vfloat f) -> fun _ -> f
+  | Pimm (Mval.Vint v) ->
+    let c = Int64.to_float v in
+    fun _ -> c
+  | v ->
+    let g = getter cls v in
+    fun fr -> Mval.as_float (g fr)
+
+(** Result writer for float-producing operations (destinations are
+    [Rfloat] or [Rbox] by classification). *)
+let fset (cls : rclass array) (r : int) : frame -> float -> unit =
+  if cls.(r) = Rfloat then fun fr v -> Array.unsafe_set fr.fr_fregs r v
+  else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vfloat v)
+
+(** Split views of a proven object-pointer operand.  Precondition
+    (enforced by classification): the operand is an [Rptr] register or
+    an object-pointer immediate — anything else cannot reach an [Rptr]
+    destination. *)
+let pget_obj (cls : rclass array) (v : pval) : frame -> Mobject.t =
+  match v with
+  | Preg r when cls.(r) = Rptr -> fun fr -> Array.unsafe_get fr.fr_pobj r
+  | Pimm (Mval.Vptr (Mobject.Pobj a)) ->
+    let o = a.Mobject.obj in
+    fun _ -> o
+  | _ -> assert false
+
+let pget_off (cls : rclass array) (v : pval) : frame -> int =
+  match v with
+  | Preg r when cls.(r) = Rptr -> fun fr -> Array.unsafe_get fr.fr_poff r
+  | Pimm (Mval.Vptr (Mobject.Pobj a)) ->
+    let off = a.Mobject.moff in
+    fun _ -> off
+  | _ -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Memory access fast paths                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One inlined fast path per access class, on a managed object [obj] at
+   byte offset [off]; the pointer-shape variants of each load and store
+   differ only in how they obtain [(obj, off)], and an [Rptr] pointer
+   builds no [Mobject.addr] on the way.  Each performs the interpreter's
+   checks in the interpreter's order — dereference (by the caller),
+   memento observation, liveness, bounds, the uninitialized-read map,
+   and for stores the pointer-slot map — and bails to the real
+   [Mobject] accessor the moment any of them would take an interesting
+   branch, so every error is raised by the exact same code with the
+   exact same message. *)
+
+let iload_fast (s : Irtype.scalar) : Bytes.t -> int -> int =
+  match s with
+  | Irtype.I1 -> fun b off -> Char.code (Bytes.get b off) land 1
+  | Irtype.I8 -> fun b off -> (Char.code (Bytes.get b off) lsl 55) asr 55
+  | Irtype.I16 -> fun b off -> (Bytes.get_uint16_le b off lsl 47) asr 47
+  | Irtype.I32 -> fun b off -> Int32.to_int (Bytes.get_int32_le b off)
+  | _ -> invalid_arg "Closcomp.iload_fast: not a small scalar"
+
+let istore_fast (s : Irtype.scalar) : Bytes.t -> int -> int -> unit =
+  match s with
+  | Irtype.I1 | Irtype.I8 -> fun b off v -> Bytes.set b off (Char.chr (v land 0xFF))
+  | Irtype.I16 -> fun b off v -> Bytes.set_uint16_le b off (v land 0xFFFF)
+  | Irtype.I32 -> fun b off v -> Bytes.set_int32_le b off (Int32.of_int v)
+  | _ -> invalid_arg "Closcomp.istore_fast: not a small scalar"
+
+(* Raw-bits float access: [Mobject.load_float]/[store_float] are
+   [load_int]/[store_int] plus a bits conversion, so the fast path is
+   the byte access and the conversion fused. *)
+let fload_fast (s : Irtype.scalar) : Bytes.t -> int -> float =
+  if s = Irtype.F32 then fun b off -> Int32.float_of_bits (Bytes.get_int32_le b off)
+  else fun b off -> Int64.float_of_bits (Bytes.get_int64_le b off)
+
+let fstore_fast (s : Irtype.scalar) : Bytes.t -> int -> float -> unit =
+  if s = Irtype.F32 then fun b off v -> Bytes.set_int32_le b off (Int32.bits_of_float v)
+  else fun b off v -> Bytes.set_int64_le b off (Int64.bits_of_float v)
+
+(** The object a boxed pointer operand points into, or the interpreter's
+    dereference error. *)
+let[@inline] addr_of (ctx : string) (pm : Mval.t) : Mobject.addr =
+  match pm with Mval.Vptr (Mobject.Pobj a) -> a | pm -> deref_c ctx pm
+
+(** Allocation-memento observation (heap objects only). *)
+let[@inline] observe_heap (heap : Mheap.t) (obj : Mobject.t) (s : Irtype.scalar) =
+  match obj.Mobject.storage with Merror.Heap -> Mheap.observe heap obj s | _ -> ()
+
+(** Load of a small int ([observe]: the scalar is not [I8], whose
+    accesses leave mementos alone). *)
+let[@inline] small_load (heap : Mheap.t) (ctx : string) (s : Irtype.scalar)
+    (size : int) (observe : bool) (fast : Bytes.t -> int -> int)
+    (norm : int -> int) (obj : Mobject.t) (off : int) : int =
+  if observe then observe_heap heap obj s;
+  match (obj.Mobject.data, obj.Mobject.init_map) with
+  | Some b, None when off >= 0 && off + size <= obj.Mobject.byte_size -> fast b off
+  | _ -> norm (Int64.to_int (Mobject.load_int { Mobject.obj; moff = off } ~size ctx))
+
+let[@inline] small_store (heap : Mheap.t) (ctx : string) (s : Irtype.scalar)
+    (size : int) (observe : bool) (fast : Bytes.t -> int -> int -> unit)
+    (obj : Mobject.t) (off : int) (v : int) : unit =
+  if observe then observe_heap heap obj s;
+  match (obj.Mobject.data, obj.Mobject.init_map) with
+  | Some b, None
+    when off >= 0
+         && off + size <= obj.Mobject.byte_size
+         && obj.Mobject.ptr_slots = None ->
+    fast b off v
+  | _ -> Mobject.store_int { Mobject.obj; moff = off } ~size (Int64.of_int v) ctx
+
+(* float accesses always observe heap mementos (never [I8]) *)
+let[@inline] float_load (heap : Mheap.t) (ctx : string) (s : Irtype.scalar)
+    (size : int) (fast : Bytes.t -> int -> float) (obj : Mobject.t) (off : int) :
+    float =
+  observe_heap heap obj s;
+  match (obj.Mobject.data, obj.Mobject.init_map) with
+  | Some b, None when off >= 0 && off + size <= obj.Mobject.byte_size -> fast b off
+  | _ -> Mobject.load_float { Mobject.obj; moff = off } ~size ctx
+
+let[@inline] float_store (heap : Mheap.t) (ctx : string) (s : Irtype.scalar)
+    (size : int) (fast : Bytes.t -> int -> float -> unit) (obj : Mobject.t)
+    (off : int) (v : float) : unit =
+  observe_heap heap obj s;
+  match (obj.Mobject.data, obj.Mobject.init_map) with
+  | Some b, None
+    when off >= 0
+         && off + size <= obj.Mobject.byte_size
+         && obj.Mobject.ptr_slots = None ->
+    fast b off v
+  | _ -> Mobject.store_float { Mobject.obj; moff = off } ~size v ctx
+
+(** Boxed load of a non-small scalar: pointers and floats through
+    [Mobject]; I64 with bounds and liveness inline. *)
+let[@inline] boxed_load (heap : Mheap.t) (ctx : string) (s : Irtype.scalar)
+    (size : int) (obj : Mobject.t) (off : int) : Mval.t =
+  observe_heap heap obj s;
+  match s with
+  | Irtype.Ptr -> Mval.Vptr (Mobject.load_ptr { Mobject.obj; moff = off } ctx)
+  | Irtype.F32 | Irtype.F64 ->
+    Mval.Vfloat (Mobject.load_float { Mobject.obj; moff = off } ~size ctx)
+  | _ -> (
+    match (obj.Mobject.data, obj.Mobject.init_map) with
+    | Some b, None when off >= 0 && off + 8 <= obj.Mobject.byte_size ->
+      Mval.Vint (Bytes.get_int64_le b off)
+    | _ -> Mval.Vint (Mobject.load_int { Mobject.obj; moff = off } ~size:8 ctx))
+
+(* ------------------------------------------------------------------ *)
+(* Edges: phi parallel copy, then a direct-threaded jump                *)
+(* ------------------------------------------------------------------ *)
+
+let compile_jump (cx : cx) (copies : phicopy) (jump : cont ref) : cont =
+  let { cls; ctrs; limit; obs; os; _ } = cx in
+  match copies with
+  | Pc_none -> fun st fr -> !jump st fr
+  | Pc_missing -> fun _ _ -> failwith "interp: phi has no incoming edge for predecessor"
+  | Pc_copy ([| d |], [| src |]) -> begin
+    match (cls.(d), src) with
+    | Rint, _ ->
+      let ig = iget cls src in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_phi_copy;
+        Array.unsafe_set fr.fr_iregs d (ig fr);
+        !jump st fr
+    | Rfloat, _ ->
+      let fg = fget cls src in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_phi_copy;
+        Array.unsafe_set fr.fr_fregs d (fg fr);
+        !jump st fr
+    | Rptr, _ ->
+      let go = pget_obj cls src and gf = pget_off cls src in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_phi_copy;
+        Array.unsafe_set fr.fr_pobj d (go fr);
+        Array.unsafe_set fr.fr_poff d (gf fr);
+        !jump st fr
+    | Rbox, Preg rs when cls.(rs) = Rbox ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_phi_copy;
+        fr.fr_regs.(d) <- fr.fr_regs.(rs);
+        !jump st fr
+    | Rbox, _ ->
+      let g = getter cls src in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_phi_copy;
+        fr.fr_regs.(d) <- g fr;
+        !jump st fr
+  end
+  | Pc_copy (dests, srcs) ->
+    (* parallel copy with a mixed register file: each class moves
+       through its own scratch array; all sources are read before any
+       write, as in the interpreter, which also counts the whole copy
+       once after the loop (so the per-copy charges pass [obs:false]) *)
+    let n = Array.length dests in
+    let kinds = Array.map (fun d -> cls.(d)) dests in
+    let per k get default =
+      Array.mapi (fun i s -> if kinds.(i) = k then get cls s else default) srcs
+    in
+    let igs = per Rint iget (fun _ -> 0) in
+    let fgs = per Rfloat fget (fun _ -> 0.0) in
+    let pos = per Rptr pget_obj (fun _ -> Mobject.dummy) in
+    let poffs = per Rptr pget_off (fun _ -> 0) in
+    let gs = per Rbox getter (fun _ -> Mval.zero) in
+    fun st fr ->
+      let tmpi = Array.make n 0 in
+      let tmpf = Array.make n 0.0 in
+      let tmpo = Array.make n Mobject.dummy in
+      let tmpoff = Array.make n 0 in
+      let tmpv = Array.make n Mval.zero in
+      for i = 0 to n - 1 do
+        tick_op st ctrs limit false os op_phi_copy;
+        match kinds.(i) with
+        | Rint -> tmpi.(i) <- igs.(i) fr
+        | Rfloat -> tmpf.(i) <- fgs.(i) fr
+        | Rptr ->
+          tmpo.(i) <- pos.(i) fr;
+          tmpoff.(i) <- poffs.(i) fr
+        | Rbox -> tmpv.(i) <- gs.(i) fr
+      done;
+      for i = 0 to n - 1 do
+        match kinds.(i) with
+        | Rint -> Array.unsafe_set fr.fr_iregs dests.(i) tmpi.(i)
+        | Rfloat -> Array.unsafe_set fr.fr_fregs dests.(i) tmpf.(i)
+        | Rptr ->
+          Array.unsafe_set fr.fr_pobj dests.(i) tmpo.(i);
+          Array.unsafe_set fr.fr_poff dests.(i) tmpoff.(i)
+        | Rbox -> fr.fr_regs.(dests.(i)) <- tmpv.(i)
+      done;
+      if obs then os.(op_phi_copy) <- os.(op_phi_copy) + n;
+      !jump st fr
+
+let compile_edge (cx : cx) (e : pedge) : cont =
+  match e with
+  | Edge (idx, copies) -> compile_jump cx copies cx.cells.(idx)
+  | Edge_unknown l -> fun _ _ -> failwith ("interp: jump to unknown block " ^ l)
+
+(* A copy-free edge is just its target cell: branch closures inline the
+   [!cell] dereference instead of hopping through a wrapper closure. *)
+let edge_plain (cx : cx) (e : pedge) : cont ref option =
+  match e with Edge (idx, Pc_none) -> Some cx.cells.(idx) | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Terminators                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [Pret] under [Ret_inline] replays the interpreter's post-call order
+   exactly: terminator charge, result read, depth decrement (the frame
+   pop has no observable effect — no frame was pushed), then the call's
+   result write and continuation.  The guest profiler's leave lands
+   after the ret charge, so the charge is attributed to the callee
+   exactly as in the interpreter (whose next flush after it is the
+   [Profile.leave] in [call_function]); [prof] is fixed at compile time,
+   so the unprofiled closures keep their exact shape. *)
+let compile_ret (cx : cx) (v : pval option) : cont =
+  let { cls; ctrs; limit; obs; os; prof; _ } = cx in
+  match (cx.ret, v, prof) with
+  | Ret_fun, Some v, _ ->
+    let g = getter cls v in
+    fun st fr ->
+      tick_op st ctrs limit obs os op_term;
+      Some (g fr)
+  | Ret_fun, None, _ ->
+    fun st _fr ->
+      tick_op st ctrs limit obs os op_term;
+      None
+  | Ret_inline (rres, next), Some v, None ->
+    let g = getter cls v in
+    if rres >= 0 then fun st fr ->
+      tick_op st ctrs limit obs os op_term;
+      let res = g fr in
+      st.depth <- st.depth - 1;
+      fr.fr_regs.(rres) <- res;
+      next st fr
+    else fun st fr ->
+      tick_op st ctrs limit obs os op_term;
+      ignore (g fr);
+      st.depth <- st.depth - 1;
+      next st fr
+  | Ret_inline (rres, next), Some v, Some p ->
+    let g = getter cls v in
+    if rres >= 0 then fun st fr ->
+      tick_op st ctrs limit obs os op_term;
+      Profile.leave p ~steps:st.steps;
+      let res = g fr in
+      st.depth <- st.depth - 1;
+      fr.fr_regs.(rres) <- res;
+      next st fr
+    else fun st fr ->
+      tick_op st ctrs limit obs os op_term;
+      Profile.leave p ~steps:st.steps;
+      ignore (g fr);
+      st.depth <- st.depth - 1;
+      next st fr
+  | Ret_inline (rres, next), None, None ->
+    if rres >= 0 then fun st fr ->
+      tick_op st ctrs limit obs os op_term;
+      st.depth <- st.depth - 1;
+      fr.fr_regs.(rres) <- Mval.zero;
+      next st fr
+    else fun st fr ->
+      tick_op st ctrs limit obs os op_term;
+      st.depth <- st.depth - 1;
+      next st fr
+  | Ret_inline (rres, next), None, Some p ->
+    if rres >= 0 then fun st fr ->
+      tick_op st ctrs limit obs os op_term;
+      Profile.leave p ~steps:st.steps;
+      st.depth <- st.depth - 1;
+      fr.fr_regs.(rres) <- Mval.zero;
+      next st fr
+    else fun st fr ->
+      tick_op st ctrs limit obs os op_term;
+      Profile.leave p ~steps:st.steps;
+      st.depth <- st.depth - 1;
+      next st fr
+
+let compile_term (cx : cx) (t : pterm) : cont =
+  let { cls; ctrs; limit; obs; os; ctx; _ } = cx in
+  match t with
+  | Pret v -> compile_ret cx v
+  | Pbr e -> begin
+    match edge_plain cx e with
+    | Some cell ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_term;
+        !cell st fr
+    | None ->
+      let k = compile_edge cx e in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_term;
+        k st fr
+  end
+  | Pcondbr (c, a, b) -> begin
+    match (c, edge_plain cx a, edge_plain cx b) with
+    | Preg rc, Some ca, Some cb when cls.(rc) = Rint ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_term;
+        if Array.unsafe_get fr.fr_iregs rc = 0 then !cb st fr else !ca st fr
+    | Preg rc, Some ca, Some cb when cls.(rc) = Rbox ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_term;
+        if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then !cb st fr
+        else !ca st fr
+    | Preg rc, _, _ when cls.(rc) = Rint ->
+      let ka = compile_edge cx a and kb = compile_edge cx b in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_term;
+        if Array.unsafe_get fr.fr_iregs rc = 0 then kb st fr else ka st fr
+    | Preg rc, _, _ when cls.(rc) = Rbox ->
+      let ka = compile_edge cx a and kb = compile_edge cx b in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_term;
+        if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then kb st fr
+        else ka st fr
+    | c, _, _ ->
+      let ka = compile_edge cx a and kb = compile_edge cx b in
+      let g = getter cls c in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_term;
+        if Int64.equal (Mval.as_int (g fr)) 0L then kb st fr else ka st fr
+  end
+  | Pswitch (v, impl, default) -> (
+    let gv = getter cls v in
+    let kd = compile_edge cx default in
+    match impl with
+    | Sw_linear (keys, edges) ->
+      let ks = Array.map (compile_edge cx) edges in
+      let nk = Array.length keys in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_term;
+        let x = Mval.as_int (gv fr) in
+        let rec find i =
+          if i >= nk then kd
+          else if Int64.equal keys.(i) x then ks.(i)
+          else find (i + 1)
+        in
+        (find 0) st fr
+    | Sw_table tbl ->
+      let ctbl = Hashtbl.create (2 * Hashtbl.length tbl) in
+      Hashtbl.iter (fun k e -> Hashtbl.replace ctbl k (compile_edge cx e)) tbl;
+      fun st fr ->
+        tick_op st ctrs limit obs os op_term;
+        let x = Mval.as_int (gv fr) in
+        (match Hashtbl.find_opt ctbl x with Some k -> k | None -> kd) st fr)
+  | Punreachable ->
+    fun st _fr ->
+      tick_op st ctrs limit obs os op_term;
+      Merror.raise_error (Merror.Type_violation "reached an unreachable instruction") ctx
+
+(* ------------------------------------------------------------------ *)
+(* Scalar-replaced allocas (virtual stack slots)                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [plan_slots] proved the object unobservable, so the slot lives in a
+   register of its scalar's class and every access replays the exact
+   memory round trip.  The alloca still consumes an allocation id (the
+   ids of later allocations are observable through cookies) and
+   re-zeroes the slot — for an I64 slot the boxed zero [Vint 0] is
+   exactly what a load of the fresh object's zero bytes would box.
+   Slot loads and stores are the hottest operations in alloca-based
+   code, so each shape is a fully inlined register move. *)
+let compile_slot (cx : cx) (i : pinstr) (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; _ } = cx in
+  match i with
+  | Palloca (r, _, _) -> begin
+    match cls.(r) with
+    | Rint ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_alloca;
+        ignore (Mobject.fresh_id ());
+        Array.unsafe_set fr.fr_iregs r 0;
+        next st fr
+    | Rfloat ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_alloca;
+        ignore (Mobject.fresh_id ());
+        Array.unsafe_set fr.fr_fregs r 0.0;
+        next st fr
+    | Rbox | Rptr ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_alloca;
+        ignore (Mobject.fresh_id ());
+        Array.unsafe_set fr.fr_regs r Mval.zero;
+        next st fr
+  end
+  | Pload (r, _, Preg rp) -> begin
+    (* forward the slot register: already the exact value a memory load
+       would produce *)
+    match (cls.(rp), cls.(r)) with
+    | Rint, Rint ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        let ir = fr.fr_iregs in
+        Array.unsafe_set ir r (Array.unsafe_get ir rp);
+        next st fr
+    | Rint, _ ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        fr.fr_regs.(r) <- Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs rp));
+        next st fr
+    | Rfloat, Rfloat ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        let fl = fr.fr_fregs in
+        Array.unsafe_set fl r (Array.unsafe_get fl rp);
+        next st fr
+    | Rfloat, _ ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        fr.fr_regs.(r) <- Mval.Vfloat (Array.unsafe_get fr.fr_fregs rp);
+        next st fr
+    | (Rbox | Rptr), _ ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        Array.unsafe_set fr.fr_regs r (Array.unsafe_get fr.fr_regs rp);
+        next st fr
+  end
+  | Pstore (s, v, Preg rp) -> begin
+    (* normalize exactly like the memory round trip would — small ints
+       sign-extend their stored low bits, F32 rounds through its bit
+       pattern, I64 re-boxes through [Mval.as_int] (same pointer-cookie
+       side effect as the interpreter's store) *)
+    match (cls.(rp), v) with
+    | Rint, Preg rv when cls.(rv) = Rint && s <> Irtype.I1 ->
+      (* the sign-extension shifts of [Irsem.inorm], inlined *)
+      let sh = 63 - Irsem.ibits s in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        let x = Array.unsafe_get fr.fr_iregs rv in
+        Array.unsafe_set fr.fr_iregs rp ((x lsl sh) asr sh);
+        next st fr
+    | Rint, Pimm (Mval.Vint imm) ->
+      let c = Irsem.inorm s (Int64.to_int imm) in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        Array.unsafe_set fr.fr_iregs rp c;
+        next st fr
+    | Rint, _ ->
+      let g = iget cls v in
+      let nrm = Irsem.inorm s in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        Array.unsafe_set fr.fr_iregs rp (nrm (g fr));
+        next st fr
+    | Rfloat, _ when s = Irtype.F32 ->
+      let g = fget cls v in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        Array.unsafe_set fr.fr_fregs rp (Irsem.round_to_f32 (g fr));
+        next st fr
+    | Rfloat, _ ->
+      let g = fget cls v in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        Array.unsafe_set fr.fr_fregs rp (g fr);
+        next st fr
+    | (Rbox | Rptr), _ ->
+      let g = getter cls v in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        Array.unsafe_set fr.fr_regs rp (Mval.Vint (Mval.as_int (g fr)));
+        next st fr
+  end
+  | _ -> invalid_arg "Closcomp.compile_slot: not a slot operation"
+
+(* ------------------------------------------------------------------ *)
+(* Loads and stores                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let compile_alloca (cx : cx) (r : int) (mty : Irtype.mty) (size : int)
+    (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; _ } = cx in
+  if cls.(r) = Rptr then fun st fr ->
+    tick_op st ctrs limit obs os op_alloca;
+    let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
+    Array.unsafe_set fr.fr_pobj r obj;
+    Array.unsafe_set fr.fr_poff r 0;
+    next st fr
+  else fun st fr ->
+    tick_op st ctrs limit obs os op_alloca;
+    let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
+    fr.fr_regs.(r) <- Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 });
+    next st fr
+
+(* Loads are the hottest operation in alloca-based code (every read of
+   a local): the dominant register-pointer/unboxed-result shapes inline
+   the register reads, the access and the result write. *)
+let compile_load (cx : cx) (r : int) (s : Irtype.scalar) (p : pval) (next : cont)
+    : cont =
+  let { cls; ctrs; limit; obs; os; heap; ctx; _ } = cx in
+  let size = Irtype.scalar_size s in
+  if Irsem.small s then begin
+    let fast = iload_fast s and norm = Irsem.inorm s in
+    let observe = s <> Irtype.I8 in
+    let set = iset cls r in
+    match p with
+    | Preg rp when cls.(rp) = Rptr && cls.(r) = Rint ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        Array.unsafe_set fr.fr_iregs r
+          (small_load heap ctx s size observe fast norm
+             (Array.unsafe_get fr.fr_pobj rp) (Array.unsafe_get fr.fr_poff rp));
+        next st fr
+    | Preg rp when cls.(rp) = Rptr ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        set fr
+          (small_load heap ctx s size observe fast norm
+             (Array.unsafe_get fr.fr_pobj rp) (Array.unsafe_get fr.fr_poff rp));
+        next st fr
+    | Preg rp when cls.(rp) = Rbox && cls.(r) = Rint ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        let a = addr_of ctx (Array.unsafe_get fr.fr_regs rp) in
+        Array.unsafe_set fr.fr_iregs r
+          (small_load heap ctx s size observe fast norm a.Mobject.obj a.Mobject.moff);
+        next st fr
+    | p ->
+      let g = getter cls p in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        let a = addr_of ctx (g fr) in
+        set fr
+          (small_load heap ctx s size observe fast norm a.Mobject.obj a.Mobject.moff);
+        next st fr
+  end
+  else if (s = Irtype.F32 || s = Irtype.F64) && cls.(r) = Rfloat then begin
+    let fast = fload_fast s in
+    match p with
+    | Preg rp when cls.(rp) = Rptr ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        Array.unsafe_set fr.fr_fregs r
+          (float_load heap ctx s size fast (Array.unsafe_get fr.fr_pobj rp)
+             (Array.unsafe_get fr.fr_poff rp));
+        next st fr
+    | p ->
+      let g = getter cls p in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        let a = addr_of ctx (g fr) in
+        Array.unsafe_set fr.fr_fregs r
+          (float_load heap ctx s size fast a.Mobject.obj a.Mobject.moff);
+        next st fr
+  end
+  else
+    match p with
+    | Preg rp when cls.(rp) = Rptr ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        fr.fr_regs.(r) <-
+          boxed_load heap ctx s size (Array.unsafe_get fr.fr_pobj rp)
+            (Array.unsafe_get fr.fr_poff rp);
+        next st fr
+    | Preg rp when cls.(rp) = Rbox ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        let a = addr_of ctx (Array.unsafe_get fr.fr_regs rp) in
+        fr.fr_regs.(r) <- boxed_load heap ctx s size a.Mobject.obj a.Mobject.moff;
+        next st fr
+    | p ->
+      let g = getter cls p in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_load;
+        let a = addr_of ctx (g fr) in
+        fr.fr_regs.(r) <- boxed_load heap ctx s size a.Mobject.obj a.Mobject.moff;
+        next st fr
+
+(* Operand order matches the interpreter — pointer, then value, then the
+   dereference — and a plain register read cannot raise, so inlining the
+   pointer read keeps every raise point in place. *)
+let compile_store (cx : cx) (s : Irtype.scalar) (v : pval) (p : pval)
+    (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; heap; ctx; _ } = cx in
+  let size = Irtype.scalar_size s in
+  if Irsem.small s then begin
+    let gv = iget cls v in
+    let fast = istore_fast s in
+    let observe = s <> Irtype.I8 in
+    match p with
+    | Preg rp when cls.(rp) = Rptr ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        let obj = Array.unsafe_get fr.fr_pobj rp in
+        let off = Array.unsafe_get fr.fr_poff rp in
+        small_store heap ctx s size observe fast obj off (gv fr);
+        next st fr
+    | Preg rp when cls.(rp) = Rbox ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        let pm = Array.unsafe_get fr.fr_regs rp in
+        let vv = gv fr in
+        let a = addr_of ctx pm in
+        small_store heap ctx s size observe fast a.Mobject.obj a.Mobject.moff vv;
+        next st fr
+    | p ->
+      let gp = getter cls p in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        let pm = gp fr in
+        let vv = gv fr in
+        let a = addr_of ctx pm in
+        small_store heap ctx s size observe fast a.Mobject.obj a.Mobject.moff vv;
+        next st fr
+  end
+  else if s = Irtype.F32 || s = Irtype.F64 then begin
+    let gv = fget cls v in
+    let fast = fstore_fast s in
+    match p with
+    | Preg rp when cls.(rp) = Rptr ->
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        let obj = Array.unsafe_get fr.fr_pobj rp in
+        let off = Array.unsafe_get fr.fr_poff rp in
+        float_store heap ctx s size fast obj off (gv fr);
+        next st fr
+    | p ->
+      let gp = getter cls p in
+      fun st fr ->
+        tick_mem st ctrs limit obs os op_store;
+        let pm = gp fr in
+        let vv = gv fr in
+        let a = addr_of ctx pm in
+        float_store heap ctx s size fast a.Mobject.obj a.Mobject.moff vv;
+        next st fr
+  end
+  else begin
+    let gv = getter cls v and gp = getter cls p in
+    let store : Mobject.addr -> Mval.t -> unit =
+      match s with
+      | Irtype.Ptr -> fun a x -> Mobject.store_ptr a (Mval.as_ptr ctx x) ctx
+      | _ -> fun a x -> Mobject.store_int a ~size (Mval.as_int x) ctx
+    in
+    fun st fr ->
+      tick_mem st ctrs limit obs os op_store;
+      let pm = gp fr in
+      let vv = gv fr in
+      let a = addr_of ctx pm in
+      observe_heap heap a.Mobject.obj s;
+      store a vv;
+      next st fr
+  end
+
+let compile_gep (cx : cx) (r : int) (base : pval) (g : pgep) (next : cont) : cont
+    =
+  let { cls; ctrs; limit; obs; os; ctx; _ } = cx in
+  let static = g.pg_static in
+  if cls.(r) = Rptr then begin
+    (* classification proved the base an object pointer, so the
+       pointer-shape dispatch of [exec_gep] vanishes: the result is the
+       base's pointee with an adjusted offset *)
+    let go = pget_obj cls base and gf = pget_off cls base in
+    match g.pg_dyn with
+    | [||] ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_gep;
+        Array.unsafe_set fr.fr_pobj r (go fr);
+        Array.unsafe_set fr.fr_poff r (gf fr + static);
+        next st fr
+    | [| (iv, stride) |] ->
+      let gi = iget cls iv in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_gep;
+        let obj = go fr in
+        let off = gf fr + static + (gi fr * stride) in
+        Array.unsafe_set fr.fr_pobj r obj;
+        Array.unsafe_set fr.fr_poff r off;
+        next st fr
+    | dyn ->
+      let gis = Array.map (fun (v, stride) -> (iget cls v, stride)) dyn in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_gep;
+        let obj = go fr in
+        let d = ref (gf fr + static) in
+        for i = 0 to Array.length gis - 1 do
+          let gi, stride = gis.(i) in
+          d := !d + (gi fr * stride)
+        done;
+        Array.unsafe_set fr.fr_pobj r obj;
+        Array.unsafe_set fr.fr_poff r !d;
+        next st fr
+  end
+  else begin
+    let gb = getter cls base in
+    let apply delta (pm : Mval.t) : Mval.t =
+      match Mval.as_ptr ctx pm with
+      | Mobject.Pnull -> Mval.Vptr Mobject.Pnull
+      | Mobject.Pobj a ->
+        Mval.Vptr (Mobject.Pobj { a with Mobject.moff = a.Mobject.moff + delta })
+      | Mobject.Pfunc _ as p ->
+        Mval.Vptr
+          (Mobject.Pinvalid (Int64.add (Mobject.ptr_to_int p) (Int64.of_int delta)))
+      | Mobject.Pinvalid c ->
+        Mval.Vptr (Mobject.Pinvalid (Int64.add c (Int64.of_int delta)))
+    in
+    match g.pg_dyn with
+    | [||] ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_gep;
+        fr.fr_regs.(r) <- apply static (gb fr);
+        next st fr
+    | [| (iv, stride) |] ->
+      let gi = iget cls iv in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_gep;
+        let b = gb fr in
+        let d = static + (gi fr * stride) in
+        fr.fr_regs.(r) <- apply d b;
+        next st fr
+    | dyn ->
+      let gis = Array.map (fun (v, stride) -> (iget cls v, stride)) dyn in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_gep;
+        let b = gb fr in
+        let d = ref static in
+        for i = 0 to Array.length gis - 1 do
+          let gi, stride = gis.(i) in
+          d := !d + (gi fr * stride)
+        done;
+        fr.fr_regs.(r) <- apply !d b;
+        next st fr
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Arithmetic, compares, casts, selects                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Two-operand closures read the right operand first, like the
+   interpreter's application order. *)
+
+let compile_binop (cx : cx) (r : int) (op : Instr.binop) (s : Irtype.scalar)
+    (a : pval) (b : pval) (cls_op : opclass) (f : Mval.t -> Mval.t -> Mval.t)
+    (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; ctx; _ } = cx in
+  if cls_op <> Cfp && Irsem.small s then begin
+    let f = small_binop_c ctx op s in
+    match (a, b) with
+    | Preg ra, Preg rb when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_binop;
+        let ir = fr.fr_iregs in
+        Array.unsafe_set ir r (f (Array.unsafe_get ir ra) (Array.unsafe_get ir rb));
+        next st fr
+    | a, b ->
+      let ga = iget cls a and gb = iget cls b in
+      let set = iset cls r in
+      fun st fr ->
+        tick_op st ctrs limit obs os op_binop;
+        let y = gb fr in
+        set fr (f (ga fr) y);
+        next st fr
+  end
+  else if cls_op = Cfp && Irsem.is_float_op op then begin
+    let f = Irsem.float_binop op s in
+    match (a, b) with
+    | Preg ra, Preg rb
+      when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rfloat ->
+      fun st fr ->
+        tick_fp st ctrs limit obs os op_binop;
+        let fl = fr.fr_fregs in
+        Array.unsafe_set fl r (f (Array.unsafe_get fl ra) (Array.unsafe_get fl rb));
+        next st fr
+    | a, b ->
+      let ga = fget cls a and gb = fget cls b in
+      let set = fset cls r in
+      fun st fr ->
+        tick_fp st ctrs limit obs os op_binop;
+        let y = gb fr in
+        set fr (f (ga fr) y);
+        next st fr
+  end
+  else begin
+    let fp = cls_op = Cfp in
+    let ga = getter cls a and gb = getter cls b in
+    fun st fr ->
+      if fp then tick_fp st ctrs limit obs os op_binop
+      else tick_op st ctrs limit obs os op_binop;
+      let y = gb fr in
+      fr.fr_regs.(r) <- f (ga fr) y;
+      next st fr
+  end
+
+let compile_icmp (cx : cx) (r : int) (op : Instr.icmp) (s : Irtype.scalar)
+    (a : pval) (b : pval) (cmp : Irtype.scalar -> int64 -> int64 -> bool)
+    (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; _ } = cx in
+  if Irsem.small s then begin
+    let cmp = Irsem.small_icmp op s in
+    match (a, b) with
+    | Preg ra, Preg rb when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_icmp;
+        let ir = fr.fr_iregs in
+        Array.unsafe_set ir r
+          (if cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb) then 1 else 0);
+        next st fr
+    | a, b ->
+      let ga = iget cls a and gb = iget cls b in
+      if cls.(r) = Rint then fun st fr ->
+        tick_op st ctrs limit obs os op_icmp;
+        let y = gb fr in
+        Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
+        next st fr
+      else fun st fr ->
+        tick_op st ctrs limit obs os op_icmp;
+        let y = gb fr in
+        fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
+        next st fr
+  end
+  else begin
+    let ga = getter cls a and gb = getter cls b in
+    let set = iset cls r in
+    fun st fr ->
+      tick_op st ctrs limit obs os op_icmp;
+      let y = Mval.as_int (gb fr) in
+      set fr (if cmp s (Mval.as_int (ga fr)) y then 1 else 0);
+      next st fr
+  end
+
+let compile_fcmp (cx : cx) (r : int) (a : pval) (b : pval)
+    (cmp : float -> float -> bool) (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; _ } = cx in
+  match (a, b) with
+  | Preg ra, Preg rb when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rint ->
+    fun st fr ->
+      tick_fp st ctrs limit obs os op_fcmp;
+      let fl = fr.fr_fregs in
+      Array.unsafe_set fr.fr_iregs r
+        (if cmp (Array.unsafe_get fl ra) (Array.unsafe_get fl rb) then 1 else 0);
+      next st fr
+  | a, b ->
+    let ga = fget cls a and gb = fget cls b in
+    if cls.(r) = Rint then fun st fr ->
+      tick_fp st ctrs limit obs os op_fcmp;
+      let y = gb fr in
+      Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
+      next st fr
+    else fun st fr ->
+      tick_fp st ctrs limit obs os op_fcmp;
+      let y = gb fr in
+      fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
+      next st fr
+
+let compile_cast (cx : cx) (r : int) (op : Instr.cast) (from : Irtype.scalar)
+    (into : Irtype.scalar) (v : pval) (boxed_cast : Mval.t -> Mval.t)
+    (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; _ } = cx in
+  let cast_with get set conv : cont =
+   fun st fr ->
+    tick_op st ctrs limit obs os op_cast;
+    set fr (conv (get fr));
+    next st fr
+  in
+  let bset fr x = fr.fr_regs.(r) <- x in
+  match (op, Irsem.cast op from into) with
+  | (Instr.Ptrtoint | Instr.Inttoptr), _
+  | Instr.Bitcast, (Irsem.Int_to_int _ | Irsem.Float_to_float _) ->
+    cast_with (getter cls v) bset boxed_cast
+  | _, Irsem.Int_to_int _ when Irsem.small into ->
+    cast_with (iget cls v) (iset cls r) (Irsem.small_cast op from into)
+  | _, Irsem.Float_to_int f when Irsem.small into ->
+    cast_with (fget cls v) (iset cls r) (fun x -> Int64.to_int (f into x))
+  | _, Irsem.Float_to_float f -> cast_with (fget cls v) (fset cls r) f
+  | (Instr.Sitofp | Instr.Uitofp), _
+    when (match v with Preg rv -> cls.(rv) = Rint && Irsem.small from | _ -> false)
+    ->
+    cast_with (iget cls v) (fset cls r) (Irsem.small_to_float op from into)
+  | _, Irsem.Int_to_float f ->
+    let g = getter cls v in
+    cast_with (fun fr -> Mval.as_int (g fr)) (fset cls r) (f from into)
+  | _, Irsem.Int_to_int f ->
+    (* boxed widening (int index -> i64) is hot: no extra layers *)
+    let g = getter cls v in
+    fun st fr ->
+      tick_op st ctrs limit obs os op_cast;
+      fr.fr_regs.(r) <- Mval.Vint (f from into (Mval.as_int (g fr)));
+      next st fr
+  | _ -> cast_with (getter cls v) bset boxed_cast
+
+let compile_select (cx : cx) (r : int) (c : pval) (a : pval) (b : pval)
+    (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; _ } = cx in
+  match cls.(r) with
+  | Rint ->
+    let gc = iget cls c and ga = iget cls a and gb = iget cls b in
+    fun st fr ->
+      tick_op st ctrs limit obs os op_select;
+      Array.unsafe_set fr.fr_iregs r (if gc fr = 0 then gb fr else ga fr);
+      next st fr
+  | Rfloat ->
+    let gc = iget cls c and ga = fget cls a and gb = fget cls b in
+    fun st fr ->
+      tick_op st ctrs limit obs os op_select;
+      Array.unsafe_set fr.fr_fregs r (if gc fr = 0 then gb fr else ga fr);
+      next st fr
+  | Rptr ->
+    let gc = iget cls c in
+    let goa = pget_obj cls a and gfa = pget_off cls a in
+    let gob = pget_obj cls b and gfb = pget_off cls b in
+    fun st fr ->
+      tick_op st ctrs limit obs os op_select;
+      if gc fr = 0 then begin
+        Array.unsafe_set fr.fr_pobj r (gob fr);
+        Array.unsafe_set fr.fr_poff r (gfb fr)
+      end
+      else begin
+        Array.unsafe_set fr.fr_pobj r (goa fr);
+        Array.unsafe_set fr.fr_poff r (gfa fr)
+      end;
+      next st fr
+  | Rbox ->
+    let gc = getter cls c and ga = getter cls a and gb = getter cls b in
+    fun st fr ->
+      tick_op st ctrs limit obs os op_select;
+      fr.fr_regs.(r) <- (if Int64.equal (Mval.as_int (gc fr)) 0L then gb fr else ga fr);
+      next st fr
+
+(* ------------------------------------------------------------------ *)
+(* Block fusion: compare + conditional branch                          *)
+(* ------------------------------------------------------------------ *)
+
+(** A block's trailing icmp/fcmp fused into its condbr, when the compare
+    register is dead otherwise (its only read is the branch itself).
+    The fused closure charges twice, exactly like the unfused compare
+    plus terminator. *)
+let compile_fused (cx : cx) (blk : pblock) : cont option =
+  let { cls; uses; ctrs; limit; obs; os; _ } = cx in
+  let n = Array.length blk.pb_instrs in
+  if n = 0 then None
+  else
+    match (blk.pb_instrs.(n - 1), blk.pb_term) with
+    | Picmp (r, op, s, a, b, _), Pcondbr (Preg rc, ta, tb)
+      when rc = r && uses.(r) = 1 && Irsem.small s -> (
+      let cmp = Irsem.small_icmp op s in
+      match (a, b, edge_plain cx ta, edge_plain cx tb) with
+      | Preg ra, Preg rb, Some ca, Some cb when cls.(ra) = Rint && cls.(rb) = Rint ->
+        (* the whole loop-control idiom in one closure: native compare
+           of two unboxed registers, direct cell jump *)
+        Some
+          (fun st fr ->
+            tick_op st ctrs limit obs os op_icmp;
+            let ir = fr.fr_iregs in
+            let taken = cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb) in
+            tick_op st ctrs limit obs os op_term;
+            if taken then !ca st fr else !cb st fr)
+      | a, b, Some ca, Some cb ->
+        let ga = iget cls a and gb = iget cls b in
+        Some
+          (fun st fr ->
+            tick_op st ctrs limit obs os op_icmp;
+            let y = gb fr in
+            let taken = cmp (ga fr) y in
+            tick_op st ctrs limit obs os op_term;
+            if taken then !ca st fr else !cb st fr)
+      | Preg ra, Preg rb, _, _ when cls.(ra) = Rint && cls.(rb) = Rint ->
+        let ka = compile_edge cx ta and kb = compile_edge cx tb in
+        Some
+          (fun st fr ->
+            tick_op st ctrs limit obs os op_icmp;
+            let ir = fr.fr_iregs in
+            let taken = cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb) in
+            tick_op st ctrs limit obs os op_term;
+            if taken then ka st fr else kb st fr)
+      | a, b, _, _ ->
+        let ka = compile_edge cx ta and kb = compile_edge cx tb in
+        let ga = iget cls a and gb = iget cls b in
+        Some
+          (fun st fr ->
+            tick_op st ctrs limit obs os op_icmp;
+            let y = gb fr in
+            let taken = cmp (ga fr) y in
+            tick_op st ctrs limit obs os op_term;
+            if taken then ka st fr else kb st fr))
+    | Picmp (r, _, s, a, b, cmp), Pcondbr (Preg rc, ta, tb)
+      when rc = r && uses.(r) = 1 ->
+      let ka = compile_edge cx ta and kb = compile_edge cx tb in
+      let ga = getter cls a and gb = getter cls b in
+      Some
+        (fun st fr ->
+          tick_op st ctrs limit obs os op_icmp;
+          let y = Mval.as_int (gb fr) in
+          let taken = cmp s (Mval.as_int (ga fr)) y in
+          tick_op st ctrs limit obs os op_term;
+          if taken then ka st fr else kb st fr)
+    | Pfcmp (r, _, a, b, cmp), Pcondbr (Preg rc, ta, tb)
+      when rc = r && uses.(r) = 1 -> (
+      (* float loop controls (whetstone, fig15-float): compare two
+         unboxed floats and branch in one closure *)
+      match (a, b, edge_plain cx ta, edge_plain cx tb) with
+      | Preg ra, Preg rb, Some ca, Some cb
+        when cls.(ra) = Rfloat && cls.(rb) = Rfloat ->
+        Some
+          (fun st fr ->
+            tick_fp st ctrs limit obs os op_fcmp;
+            let fl = fr.fr_fregs in
+            let taken = cmp (Array.unsafe_get fl ra) (Array.unsafe_get fl rb) in
+            tick_op st ctrs limit obs os op_term;
+            if taken then !ca st fr else !cb st fr)
+      | a, b, Some ca, Some cb ->
+        let ga = fget cls a and gb = fget cls b in
+        Some
+          (fun st fr ->
+            tick_fp st ctrs limit obs os op_fcmp;
+            let y = gb fr in
+            let taken = cmp (ga fr) y in
+            tick_op st ctrs limit obs os op_term;
+            if taken then !ca st fr else !cb st fr)
+      | a, b, _, _ ->
+        let ka = compile_edge cx ta and kb = compile_edge cx tb in
+        let ga = fget cls a and gb = fget cls b in
+        Some
+          (fun st fr ->
+            tick_fp st ctrs limit obs os op_fcmp;
+            let y = gb fr in
+            let taken = cmp (ga fr) y in
+            tick_op st ctrs limit obs os op_term;
+            if taken then ka st fr else kb st fr))
+    | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Instructions, calls, blocks, instances                              *)
+(* ------------------------------------------------------------------ *)
+
+(** Compile one instruction, chained onto its continuation [next].
+    [key] is its (block index, instruction index) in the instance, the
+    key of [cx.sites]. *)
+let rec compile_instr (cx : cx) (key : int * int) (i : pinstr) (next : cont) :
+    cont =
+  match i with
+  | (Palloca (r, _, _) | Pload (_, _, Preg r) | Pstore (_, _, Preg r))
+    when Hashtbl.mem cx.slots r ->
+    compile_slot cx i next
+  | Palloca (r, mty, size) -> compile_alloca cx r mty size next
+  | Pload (r, s, p) -> compile_load cx r s p next
+  | Pstore (s, v, p) -> compile_store cx s v p next
+  | Pgep (r, base, g) -> compile_gep cx r base g next
+  | Pbinop (r, op, s, a, b, cls_op, f) ->
+    compile_binop cx r op s a b cls_op f next
+  | Picmp (r, op, s, a, b, cmp) -> compile_icmp cx r op s a b cmp next
+  | Pfcmp (r, _, a, b, cmp) -> compile_fcmp cx r a b cmp next
+  | Pcast (r, op, from, into, v, f) -> compile_cast cx r op from into v f next
+  | Pselect (r, c, a, b) -> compile_select cx r c a b next
+  | Psancheck ->
+    let { ctrs; limit; obs; os; _ } = cx in
+    fun st fr ->
+      tick_op st ctrs limit obs os op_sancheck;
+      next st fr
+  | Ploc (line, col) ->
+    (* provenance marker: free, exactly like the interpreter *)
+    fun st fr ->
+      fr.fr_line <- line;
+      fr.fr_col <- col;
+      next st fr
+  | Pcall (r, callee, pargs, scalars) -> (
+    match Hashtbl.find_opt cx.sites key with
+    | Some site -> compile_inline_call cx site r pargs next
+    | None -> compile_call cx r callee pargs scalars next)
+
+(* Inlined direct call: the callee's blocks were compiled as an instance
+   at a disjoint register window; replay the interpreter's call protocol
+   without the frame push.  Order, as in [exec_instrs]/[call_function]:
+   call charge, caller's c_calls, argument evaluation (ascending), depth
+   increment and guard (context = caller's: the interpreter checks
+   before pushing the callee frame), callee's c_invocations, then the
+   callee entry. *)
+and compile_inline_call (cx : cx) (site : inline_site) (r : int)
+    (pargs : pval array) (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; ctx; prof; _ } = cx in
+  let callee_pf = site.is_callee in
+  let cctrs = callee_pf.pf_counters in
+  let centry, _ =
+    compile_instance
+      { cx with sites = Hashtbl.create 1; ret = Ret_inline (r, next) }
+      callee_pf site.is_blocks Pc_none
+  in
+  (* Guest-profiler enter: fires after the call charge (so the call
+     instruction is attributed to the caller, as in [call_function]) and
+     before any callee charge.  Wrapping [centry] keeps the
+     non-profiling closure untouched. *)
+  let centry =
+    match prof with
+    | None -> centry
+    | Some p ->
+      let cname = callee_pf.pf_name in
+      fun st fr ->
+        Profile.enter p ~steps:st.steps cname;
+        centry st fr
+  in
+  let na = Array.length pargs in
+  let gs = Array.map (getter cls) pargs in
+  let params = site.is_params in
+  let bound = min (Array.length params) na in
+  fun st fr ->
+    tick_op st ctrs limit obs os op_call;
+    ctrs.c_calls <- ctrs.c_calls + 1;
+    (* direct writes into the callee window are equivalent to the
+       interpreter's argv: the windows are disjoint, so later argument
+       reads cannot observe them *)
+    for k = 0 to bound - 1 do
+      fr.fr_regs.(params.(k)) <- gs.(k) fr
+    done;
+    for k = bound to na - 1 do
+      ignore (gs.(k) fr)
+    done;
+    st.depth <- st.depth + 1;
+    if st.depth > st.depth_limit then Merror.raise_error Merror.Stack_overflow_guard ctx;
+    cctrs.c_invocations <- cctrs.c_invocations + 1;
+    centry st fr
+
+and compile_call (cx : cx) (r : int) (callee : pcallee) (pargs : pval array)
+    (scalars : Irtype.scalar array) (next : cont) : cont =
+  let { cls; ctrs; limit; obs; os; ctx; _ } = cx in
+  let na = Array.length pargs in
+  let gs = Array.map (getter cls) pargs in
+  let eval_args fr =
+    let argv = Array.make na Mval.zero in
+    for k = 0 to na - 1 do
+      argv.(k) <- gs.(k) fr
+    done;
+    argv
+  in
+  let finish : frame -> Mval.t option -> unit =
+    if r < 0 then fun _ _ -> ()
+    else fun fr res -> fr.fr_regs.(r) <- (match res with Some v -> v | None -> Mval.zero)
+  in
+  match callee with
+  | Pdirect tgt -> begin
+    (* the link pass ran before execution began: [!tgt] is stable, so
+       the target resolves at compile time *)
+    match !tgt with
+    | Tgt_user callee_pf ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_call;
+        ctrs.c_calls <- ctrs.c_calls + 1;
+        finish fr (call_function st callee_pf (eval_args fr) scalars);
+        next st fr
+    | Tgt_builtin (_, fn) ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_call;
+        ctrs.c_calls <- ctrs.c_calls + 1;
+        finish fr (fn st (eval_args fr));
+        next st fr
+    | Tgt_unknown name ->
+      fun st fr ->
+        tick_op st ctrs limit obs os op_call;
+        ctrs.c_calls <- ctrs.c_calls + 1;
+        ignore (eval_args fr);
+        failwith ("interp: unknown builtin " ^ name)
+  end
+  | Pindirect (v, ic) ->
+    let gv = getter cls v in
+    fun st fr ->
+      tick_op st ctrs limit obs os op_call;
+      ctrs.c_calls <- ctrs.c_calls + 1;
+      let argv = eval_args fr in
+      (match Mval.as_ptr ctx (gv fr) with
+      | Mobject.Pfunc name ->
+        let tgt =
+          if name == ic.ic_name || String.equal name ic.ic_name then begin
+            if obs then os.(op_ic_hit) <- os.(op_ic_hit) + 1;
+            ic.ic_target
+          end
+          else begin
+            if obs then os.(op_ic_miss) <- os.(op_ic_miss) + 1;
+            let t = resolve_callee st name in
+            ic.ic_name <- name;
+            ic.ic_target <- t;
+            t
+          end
+        in
+        finish fr (exec_target st tgt argv scalars)
+      | Mobject.Pnull -> Merror.raise_error Merror.Null_deref ctx
+      | Mobject.Pobj _ | Mobject.Pinvalid _ ->
+        Merror.raise_error
+          (Merror.Type_violation "indirect call through a data pointer")
+          ctx);
+      next st fr
+
+(** Fold a block's instruction chain onto its terminator (or onto the
+    fused compare+branch). *)
+and compile_block (cx : cx) (blk : pblock) : cont =
+  let n = Array.length blk.pb_instrs in
+  let seed, upto =
+    match compile_fused cx blk with
+    | Some k -> (k, n - 2)
+    | None -> (compile_term cx blk.pb_term, n - 1)
+  in
+  let rec build i acc =
+    if i < 0 then acc
+    else build (i - 1) (compile_instr cx (blk.pb_index, i) blk.pb_instrs.(i) acc)
+  in
+  build upto seed
+
+(** One instance — the caller, or an inlined callee — compiled into its
+    own cell array; returns its entry and the cells.  [cx] carries the
+    instance's [sites] and [ret]; its counters, context and cells come
+    from [ipf] here. *)
+and compile_instance (cx : cx) (ipf : pfunc) (iblocks : pblock array)
+    (entry_copies : phicopy) : cont * cont ref array =
+  let nblocks = Array.length iblocks in
+  let cells = Array.init nblocks (fun _ -> ref unset) in
+  let cx = { cx with ctrs = ipf.pf_counters; ctx = ipf.pf_context; cells } in
+  for j = 0 to nblocks - 1 do
+    cells.(j) := compile_block cx iblocks.(j)
+  done;
+  (* Guest-profiler block notes: when profiling, wrap every block cell
+     so entering the block flushes the step delta into the previous
+     block and switches attribution — the same point the interpreter
+     notes in [exec_instrs], i.e. after the edge's phi copies (credited
+     to the predecessor, [compile_jump] runs them before dereferencing
+     the cell).  When not profiling the cells stay untouched: zero
+     cost. *)
+  (match cx.prof with
+  | None -> ()
+  | Some p ->
+    for j = 0 to nblocks - 1 do
+      let inner = !(cells.(j)) in
+      let bs = Profile.block_stat p ~func:ipf.pf_name ~label:iblocks.(j).pb_label in
+      cells.(j) :=
+        fun st fr ->
+          Profile.note_block p ~steps:st.steps bs;
+          inner st fr
+    done);
+  let entry =
+    match entry_copies with
+    | Pc_none ->
+      let c0 = cells.(0) in
+      fun st fr -> !c0 st fr
+    | copies -> compile_jump cx copies cells.(0)
+  in
+  (entry, cells)
+
+(* ------------------------------------------------------------------ *)
+(* Frames: direct construction and OSR transfer                        *)
+(* ------------------------------------------------------------------ *)
+
+(** [cb_frame] and [cb_osr] for a compiled function with merged register
+    file [cls] of [nregs] registers.
+
+    Direct frame construction (DESIGN.md §11): [call_function] obtains
+    frames through [cb_frame], which builds the register files
+    right-sized in one shot — the generic path would allocate a
+    [pf_nregs] boxed file only for the OSR install to immediately
+    replace it with the enlarged copy.  (A recycling pool was measured
+    and rejected: re-zeroing promoted arrays pays a write barrier per
+    element, which loses to the minor allocator.)  [cb_entry] therefore
+    starts execution directly: acquired frames arrive fully
+    installed. *)
+let compile_frames (pf : pfunc) (cls : rclass array) (nregs : int)
+    (slots : (int, Irtype.scalar) Hashtbl.t) (cells : cont ref array) :
+    (Mval.t array -> Irtype.scalar array -> frame) * osr_body option =
+  let any c = Array.exists (fun k -> k = c) cls in
+  let any_i = any Rint and any_f = any Rfloat and any_p = any Rptr in
+  let install (fr : frame) =
+    if nregs > Array.length fr.fr_regs then begin
+      (* inlined callees enlarged the register file *)
+      let regs = Array.make nregs Mval.zero in
+      Array.blit fr.fr_regs 0 regs 0 (Array.length fr.fr_regs);
+      fr.fr_regs <- regs
+    end;
+    if any_i then fr.fr_iregs <- Array.make nregs 0;
+    if any_f then fr.fr_fregs <- Array.make nregs 0.0;
+    if any_p then begin
+      fr.fr_pobj <- Array.make nregs Mobject.dummy;
+      fr.fr_poff <- Array.make nregs 0
+    end
+  in
+  let nparams = pf.pf_nparams in
+  let param_regs = pf.pf_param_regs in
+  let acquire args arg_scalars =
+    let regs = Array.make nregs Mval.zero in
+    let bound = min nparams (Array.length args) in
+    for i = 0 to bound - 1 do
+      regs.(param_regs.(i)) <- args.(i)
+    done;
+    {
+      fr_func = pf;
+      fr_regs = regs;
+      fr_iregs = (if any_i then Array.make nregs 0 else [||]);
+      fr_fregs = (if any_f then Array.make nregs 0.0 else [||]);
+      fr_pobj = (if any_p then Array.make nregs Mobject.dummy else [||]);
+      fr_poff = (if any_p then Array.make nregs 0 else [||]);
+      fr_args = args;
+      fr_arg_scalars = arg_scalars;
+      fr_variadic = pf.pf_variadic;
+      fr_nparams = nparams;
+      fr_line = 0;
+      fr_col = 0;
+    }
+  in
+  let osr st fr idx =
+    (* Frame transfer: the interpreter ran this invocation so far, so
+       every live register sits boxed in [fr_regs]; move each into its
+       compiled class file.  A register whose box does not match its
+       class is either unwritten (still [Mval.zero], represented
+       identically by every class' zero — [as_float (Vint 0)] is [0.0])
+       or dead by SSA dominance, so the transfer is exact. *)
+    let boxed = fr.fr_regs in
+    let nold = Array.length boxed in
+    install fr;
+    for r = 0 to nold - 1 do
+      match (cls.(r), boxed.(r)) with
+      | Rint, Mval.Vint v -> fr.fr_iregs.(r) <- Int64.to_int v
+      | Rfloat, Mval.Vfloat f -> fr.fr_fregs.(r) <- f
+      | Rfloat, Mval.Vint v -> fr.fr_fregs.(r) <- Int64.to_float v
+      | Rptr, Mval.Vptr (Mobject.Pobj a) ->
+        fr.fr_pobj.(r) <- a.Mobject.obj;
+        fr.fr_poff.(r) <- a.Mobject.moff
+      | (Rint | Rfloat | Rptr | Rbox), _ -> ()
+    done;
+    (* Scalar-replaced allocas: the interpreter prefix kept the slot in
+       a real stack object (the box holds its pointer); read the live
+       value through it into the slot register.  The object itself goes
+       stale from here on — sound because [plan_slots] proved its
+       address unreachable from anywhere else.  The entry block (no
+       predecessors) always ran before any OSR-able loop header, so the
+       box is always a written pointer; anything else means the register
+       is dead and the class zero stands. *)
+    Hashtbl.iter
+      (fun r s ->
+        if r < nold then
+          match boxed.(r) with
+          | Mval.Vptr (Mobject.Pobj a) -> begin
+            let size = Irtype.scalar_size s in
+            match cls.(r) with
+            | Rint ->
+              fr.fr_iregs.(r) <-
+                Int64.to_int
+                  (Irsem.normalize_int s (Mobject.load_int a ~size pf.pf_context))
+            | Rfloat -> fr.fr_fregs.(r) <- Mobject.load_float a ~size pf.pf_context
+            | Rbox | Rptr ->
+              fr.fr_regs.(r) <- Mval.Vint (Mobject.load_int a ~size:8 pf.pf_context)
+          end
+          | Mval.Vint _ | Mval.Vfloat _ | Mval.Vptr _ -> ())
+      slots;
+    !(cells.(idx)) st fr
+  in
+  (acquire, if Array.exists (fun b -> b.pb_osr) pf.pf_blocks then Some osr else None)
+
+(* ------------------------------------------------------------------ *)
+(* The compiler                                                        *)
+(* ------------------------------------------------------------------ *)
+
 let compile (st0 : state) (pf : pfunc) : compiled =
-  let obs = st0.obs in
-  let os = st0.opstats in
-  let limit = st0.step_limit in
-  let heap = st0.heap in
-  let prof = st0.prof in
   if Array.length pf.pf_blocks = 0 then
     {
       cb_entry =
@@ -768,8 +2174,7 @@ let compile (st0 : state) (pf : pfunc) : compiled =
       pf.pf_blocks :: Hashtbl.fold (fun _ s acc -> s.is_blocks :: acc) sites []
     in
     let boxed_roots =
-      pf.pf_param_regs
-      :: Hashtbl.fold (fun _ s acc -> s.is_params :: acc) sites []
+      pf.pf_param_regs :: Hashtbl.fold (fun _ s acc -> s.is_params :: acc) sites []
     in
     let uses = reg_use_counts_of blocks_list pf.pf_entry_copies nregs in
     (* Uninitialized-read detection watches the real init bitmap, so
@@ -779,1897 +2184,24 @@ let compile (st0 : state) (pf : pfunc) : compiled =
       else plan_slots blocks_list pf.pf_entry_copies boxed_roots nregs
     in
     let cls = classify blocks_list pf.pf_entry_copies boxed_roots slots nregs in
-    let empty_sites : (int * int, inline_site) Hashtbl.t = Hashtbl.create 1 in
-
-    (* --- class-aware operand access (shared by all instances) --- *)
-
-    (* Boxed view of any operand; unboxed registers re-box on read
-       (their unboxed slot holds exactly what the interpreter's box
-       would). *)
-    let getter (v : pval) : frame -> Mval.t =
-      match v with
-      | Preg r -> begin
-        match cls.(r) with
-        | Rint ->
-          fun fr -> Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs r))
-        | Rfloat -> fun fr -> Mval.Vfloat (Array.unsafe_get fr.fr_fregs r)
-        | Rptr ->
-          fun fr ->
-            Mval.Vptr
-              (Mobject.Pobj
-                 {
-                   Mobject.obj = Array.unsafe_get fr.fr_pobj r;
-                   moff = Array.unsafe_get fr.fr_poff r;
-                 })
-        | Rbox -> fun fr -> Array.unsafe_get fr.fr_regs r
-      end
-      | Pimm v -> fun _ -> v
-      | Pfail msg -> fun _ -> failwith msg
-    in
-    (* Native-int view, for operands of small-scalar operations.  The
-       [Int64.to_int] truncation of a boxed operand is exact for every
-       well-typed small operand (normalized <=32-bit values), and for
-       any other int64 every consumer below re-masks/re-normalizes to
-       <=32 bits, which only depends on the low bits [to_int]
-       preserves.  Float/pointer-classified operands fall through the
-       boxed view so [Mval.as_int] raises or cookies exactly like the
-       interpreter. *)
-    let iget (v : pval) : frame -> int =
-      match v with
-      | Preg r when cls.(r) = Rint ->
-        fun fr -> Array.unsafe_get fr.fr_iregs r
-      | Preg r when cls.(r) = Rbox ->
-        fun fr -> Int64.to_int (Mval.as_int (Array.unsafe_get fr.fr_regs r))
-      | Pimm (Mval.Vint v) ->
-        let c = Int64.to_int v in
-        fun _ -> c
-      | v ->
-        let g = getter v in
-        fun fr -> Int64.to_int (Mval.as_int (g fr))
-    in
-    (* Result writers for int-producing operations (classification
-       guarantees such destinations are [Rint] or [Rbox]). *)
-    let iset (r : int) : frame -> int -> unit =
-      if cls.(r) = Rint then fun fr v -> Array.unsafe_set fr.fr_iregs r v
-      else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vint (Int64.of_int v))
-    in
-    (* Native-float view; non-float operands fall through [Mval.as_float]
-       (int-to-float widening, invalid_arg on pointers) like the
-       interpreter. *)
-    let fget (v : pval) : frame -> float =
-      match v with
-      | Preg r when cls.(r) = Rfloat ->
-        fun fr -> Array.unsafe_get fr.fr_fregs r
-      | Preg r when cls.(r) = Rint ->
-        fun fr -> float_of_int (Array.unsafe_get fr.fr_iregs r)
-      | Preg r when cls.(r) = Rbox ->
-        fun fr -> Mval.as_float (Array.unsafe_get fr.fr_regs r)
-      | Pimm (Mval.Vfloat f) -> fun _ -> f
-      | Pimm (Mval.Vint v) ->
-        let c = Int64.to_float v in
-        fun _ -> c
-      | v ->
-        let g = getter v in
-        fun fr -> Mval.as_float (g fr)
-    in
-    (* Result writers for float-producing operations (destinations are
-       [Rfloat] or [Rbox] by classification). *)
-    let fset (r : int) : frame -> float -> unit =
-      if cls.(r) = Rfloat then fun fr v -> Array.unsafe_set fr.fr_fregs r v
-      else fun fr v -> Array.unsafe_set fr.fr_regs r (Mval.Vfloat v)
-    in
-    (* Split views of a proven object-pointer operand.  Precondition
-       (enforced by classification): the operand is an [Rptr] register
-       or an object-pointer immediate — anything else cannot reach an
-       [Rptr] destination. *)
-    let pget_obj (v : pval) : frame -> Mobject.t =
-      match v with
-      | Preg r when cls.(r) = Rptr -> fun fr -> Array.unsafe_get fr.fr_pobj r
-      | Pimm (Mval.Vptr (Mobject.Pobj a)) ->
-        let o = a.Mobject.obj in
-        fun _ -> o
-      | _ -> assert false
-    in
-    let pget_off (v : pval) : frame -> int =
-      match v with
-      | Preg r when cls.(r) = Rptr -> fun fr -> Array.unsafe_get fr.fr_poff r
-      | Pimm (Mval.Vptr (Mobject.Pobj a)) ->
-        let off = a.Mobject.moff in
-        fun _ -> off
-      | _ -> assert false
-    in
-
-    (* --- narrow memory access fast paths ---
-
-       The inlined path performs the interpreter's checks on the managed
-       object in the interpreter's order — dereference, memento
-       observation, liveness, bounds, the uninitialized-read map — and
-       bails to the real [Mobject] accessors the moment any of them
-       would take an interesting branch, so every error is raised by the
-       exact same code with the exact same message. *)
-    let iload_fast (s : Irtype.scalar) : Bytes.t -> int -> int =
-      match s with
-      | Irtype.I1 -> fun b off -> Char.code (Bytes.get b off) land 1
-      | Irtype.I8 -> fun b off -> (Char.code (Bytes.get b off) lsl 55) asr 55
-      | Irtype.I16 -> fun b off -> (Bytes.get_uint16_le b off lsl 47) asr 47
-      | Irtype.I32 -> fun b off -> Int32.to_int (Bytes.get_int32_le b off)
-      | _ -> invalid_arg "Closcomp.iload_fast: not a small scalar"
-    in
-    let istore_fast (s : Irtype.scalar) : Bytes.t -> int -> int -> unit =
-      match s with
-      | Irtype.I1 | Irtype.I8 ->
-        fun b off v -> Bytes.set b off (Char.chr (v land 0xFF))
-      | Irtype.I16 -> fun b off v -> Bytes.set_uint16_le b off (v land 0xFFFF)
-      | Irtype.I32 -> fun b off v -> Bytes.set_int32_le b off (Int32.of_int v)
-      | _ -> invalid_arg "Closcomp.istore_fast: not a small scalar"
-    in
-    (* Raw-bits float access: [Mobject.load_float]/[store_float] are
-       [load_int]/[store_int] plus a bits conversion, so the fast path
-       is the byte access and the conversion fused. *)
-    let fload_fast (s : Irtype.scalar) : Bytes.t -> int -> float =
-      if s = Irtype.F32 then fun b off ->
-        Int32.float_of_bits (Bytes.get_int32_le b off)
-      else fun b off -> Int64.float_of_bits (Bytes.get_int64_le b off)
-    in
-    let fstore_fast (s : Irtype.scalar) : Bytes.t -> int -> float -> unit =
-      if s = Irtype.F32 then fun b off v ->
-        Bytes.set_int32_le b off (Int32.bits_of_float v)
-      else fun b off v -> Bytes.set_int64_le b off (Int64.bits_of_float v)
-    in
-
-    (* --- one instance: the caller, or an inlined callee --- *)
-    let rec instance (ipf : pfunc) (iblocks : pblock array)
-        (isites : (int * int, inline_site) Hashtbl.t) (ret : ret_mode)
-        (entry_copies : phicopy) : cont * cont ref array =
-      let ctx = ipf.pf_context in
-      let ctrs = ipf.pf_counters in
-      let nblocks = Array.length iblocks in
-      let cells = Array.init nblocks (fun _ -> ref unset) in
-
-      (* --- edges: phi parallel copy, then a direct-threaded jump --- *)
-      let compile_jump (copies : phicopy) (jump : cont ref) : cont =
-        match copies with
-        | Pc_none -> fun st fr -> !jump st fr
-        | Pc_missing ->
-          fun _ _ -> failwith "interp: phi has no incoming edge for predecessor"
-        | Pc_copy (dests, srcs) ->
-          let n = Array.length dests in
-          if n = 1 then begin
-            let d = dests.(0) in
-            match cls.(d) with
-            | Rint ->
-              let ig = iget srcs.(0) in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_phi_copy <- os.os_phi_copy + 1;
-                Array.unsafe_set fr.fr_iregs d (ig fr);
-                !jump st fr
-            | Rfloat ->
-              let fg = fget srcs.(0) in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_phi_copy <- os.os_phi_copy + 1;
-                Array.unsafe_set fr.fr_fregs d (fg fr);
-                !jump st fr
-            | Rptr ->
-              let go = pget_obj srcs.(0) and gf = pget_off srcs.(0) in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_phi_copy <- os.os_phi_copy + 1;
-                Array.unsafe_set fr.fr_pobj d (go fr);
-                Array.unsafe_set fr.fr_poff d (gf fr);
-                !jump st fr
-            | Rbox -> begin
-              match srcs.(0) with
-              | Preg rs when cls.(rs) = Rbox ->
-                fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_phi_copy <- os.os_phi_copy + 1;
-                  fr.fr_regs.(d) <- fr.fr_regs.(rs);
-                  !jump st fr
-              | src ->
-                let g = getter src in
-                fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_phi_copy <- os.os_phi_copy + 1;
-                  fr.fr_regs.(d) <- g fr;
-                  !jump st fr
-            end
-          end
-          else begin
-            (* parallel copy with a mixed register file: each class
-               moves through its own scratch array; all sources are
-               read before any write, as in the interpreter *)
-            let kinds = Array.map (fun d -> cls.(d)) dests in
-            let igs =
-              Array.mapi
-                (fun i s -> if kinds.(i) = Rint then iget s else fun _ -> 0)
-                srcs
-            in
-            let fgs =
-              Array.mapi
-                (fun i s -> if kinds.(i) = Rfloat then fget s else fun _ -> 0.0)
-                srcs
-            in
-            let pos =
-              Array.mapi
-                (fun i s ->
-                  if kinds.(i) = Rptr then pget_obj s
-                  else fun _ -> Mobject.dummy)
-                srcs
-            in
-            let poffs =
-              Array.mapi
-                (fun i s -> if kinds.(i) = Rptr then pget_off s else fun _ -> 0)
-                srcs
-            in
-            let gs =
-              Array.mapi
-                (fun i s ->
-                  if kinds.(i) = Rbox then getter s else fun _ -> Mval.zero)
-                srcs
-            in
-            fun st fr ->
-              let tmpi = Array.make n 0 in
-              let tmpf = Array.make n 0.0 in
-              let tmpo = Array.make n Mobject.dummy in
-              let tmpoff = Array.make n 0 in
-              let tmpv = Array.make n Mval.zero in
-              for i = 0 to n - 1 do
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                match kinds.(i) with
-                | Rint -> tmpi.(i) <- igs.(i) fr
-                | Rfloat -> tmpf.(i) <- fgs.(i) fr
-                | Rptr ->
-                  tmpo.(i) <- pos.(i) fr;
-                  tmpoff.(i) <- poffs.(i) fr
-                | Rbox -> tmpv.(i) <- gs.(i) fr
-              done;
-              for i = 0 to n - 1 do
-                match kinds.(i) with
-                | Rint -> Array.unsafe_set fr.fr_iregs dests.(i) tmpi.(i)
-                | Rfloat -> Array.unsafe_set fr.fr_fregs dests.(i) tmpf.(i)
-                | Rptr ->
-                  Array.unsafe_set fr.fr_pobj dests.(i) tmpo.(i);
-                  Array.unsafe_set fr.fr_poff dests.(i) tmpoff.(i)
-                | Rbox -> fr.fr_regs.(dests.(i)) <- tmpv.(i)
-              done;
-              if obs then os.os_phi_copy <- os.os_phi_copy + n;
-              !jump st fr
-          end
-      in
-      let compile_edge (e : pedge) : cont =
-        match e with
-        | Edge (idx, copies) -> compile_jump copies cells.(idx)
-        | Edge_unknown l ->
-          fun _ _ -> failwith ("interp: jump to unknown block " ^ l)
-      in
-      (* A copy-free edge is just its target cell: branch closures inline
-         the [!cell] dereference instead of hopping through a wrapper
-         closure. *)
-      let edge_plain (e : pedge) : cont ref option =
-        match e with Edge (idx, Pc_none) -> Some cells.(idx) | _ -> None
-      in
-
-      (* --- terminators --- *)
-      (* [Pret] under [Ret_inline] replays the interpreter's post-call
-         order exactly: terminator charge, result read, depth decrement
-         (the frame pop has no observable effect — no frame was pushed),
-         then the call's result write and continuation. *)
-      let compile_ret (v : pval option) : cont =
-        match (ret, v) with
-        | Ret_fun, Some v ->
-          let g = getter v in
-          fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
-            if obs then os.os_term <- os.os_term + 1;
-            Some (g fr)
-        | Ret_fun, None ->
-          fun st _fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
-            if obs then os.os_term <- os.os_term + 1;
-            None
-        | Ret_inline (rres, next), Some v -> (
-          (* Guest-profiler leave: the ret charge lands before [leave]
-             flushes, so it is attributed to the callee exactly as in
-             the interpreter (whose next flush after the ret charge is
-             the [Profile.leave] in [call_function]).  [prof] is fixed
-             at compile time, so the unprofiled closures keep their
-             exact shape — no per-return branch. *)
-          let g = getter v in
-          match prof with
-          | None ->
-            if rres >= 0 then fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              let res = g fr in
-              st.depth <- st.depth - 1;
-              fr.fr_regs.(rres) <- res;
-              next st fr
-            else fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              ignore (g fr);
-              st.depth <- st.depth - 1;
-              next st fr
-          | Some p ->
-            if rres >= 0 then fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              Profile.leave p ~steps:st.steps;
-              let res = g fr in
-              st.depth <- st.depth - 1;
-              fr.fr_regs.(rres) <- res;
-              next st fr
-            else fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              Profile.leave p ~steps:st.steps;
-              ignore (g fr);
-              st.depth <- st.depth - 1;
-              next st fr)
-        | Ret_inline (rres, next), None -> (
-          match prof with
-          | None ->
-            if rres >= 0 then fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              st.depth <- st.depth - 1;
-              fr.fr_regs.(rres) <- Mval.zero;
-              next st fr
-            else fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              st.depth <- st.depth - 1;
-              next st fr
-          | Some p ->
-            if rres >= 0 then fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              Profile.leave p ~steps:st.steps;
-              st.depth <- st.depth - 1;
-              fr.fr_regs.(rres) <- Mval.zero;
-              next st fr
-            else fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              Profile.leave p ~steps:st.steps;
-              st.depth <- st.depth - 1;
-              next st fr)
-      in
-      let compile_term (t : pterm) : cont =
-        match t with
-        | Pret v -> compile_ret v
-        | Pbr e -> begin
-          match edge_plain e with
-          | Some cell ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              !cell st fr
-          | None ->
-            let k = compile_edge e in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              k st fr
-        end
-        | Pcondbr (c, a, b) -> begin
-          match (c, edge_plain a, edge_plain b) with
-          | Preg rc, Some ca, Some cb when cls.(rc) = Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              if Array.unsafe_get fr.fr_iregs rc = 0 then !cb st fr
-              else !ca st fr
-          | Preg rc, Some ca, Some cb when cls.(rc) = Rbox ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then !cb st fr
-              else !ca st fr
-          | c, _, _ ->
-            let ka = compile_edge a and kb = compile_edge b in
-            (match c with
-            | Preg rc when cls.(rc) = Rint ->
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_term <- os.os_term + 1;
-                if Array.unsafe_get fr.fr_iregs rc = 0 then kb st fr
-                else ka st fr
-            | Preg rc when cls.(rc) = Rbox ->
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_term <- os.os_term + 1;
-                if Int64.equal (Mval.as_int fr.fr_regs.(rc)) 0L then kb st fr
-                else ka st fr
-            | c ->
-              let g = getter c in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_term <- os.os_term + 1;
-                if Int64.equal (Mval.as_int (g fr)) 0L then kb st fr
-                else ka st fr)
-        end
-        | Pswitch (v, impl, default) ->
-          let gv = getter v in
-          let kd = compile_edge default in
-          (match impl with
-          | Sw_linear (keys, edges) ->
-            let ks = Array.map compile_edge edges in
-            let nk = Array.length keys in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              let x = Mval.as_int (gv fr) in
-              let rec find i =
-                if i >= nk then kd
-                else if Int64.equal keys.(i) x then ks.(i)
-                else find (i + 1)
-              in
-              (find 0) st fr
-          | Sw_table tbl ->
-            let ctbl = Hashtbl.create (2 * Hashtbl.length tbl) in
-            Hashtbl.iter (fun k e -> Hashtbl.replace ctbl k (compile_edge e)) tbl;
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_term <- os.os_term + 1;
-              let x = Mval.as_int (gv fr) in
-              (match Hashtbl.find_opt ctbl x with Some k -> k | None -> kd)
-                st fr)
-        | Punreachable ->
-          fun st _fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
-            if obs then os.os_term <- os.os_term + 1;
-            Merror.raise_error
-              (Merror.Type_violation "reached an unreachable instruction")
-              ctx
-      in
-      (* --- instructions, chained through their continuation --- *)
-      let compile_instr (key : int * int) (i : pinstr) (next : cont) : cont =
-        match i with
-        (* --- scalar-replaced allocas (virtual stack slots) ---
-           [plan_slots] proved the object unobservable, so the slot
-           lives in a register of its scalar's class and every access
-           replays the exact memory round trip.  The alloca still
-           consumes an allocation id (the ids of later allocations are
-           observable through cookies) and re-zeroes the slot — for an
-           I64 slot the boxed zero [Vint 0] is exactly what a load of
-           the fresh object's zero bytes would box. *)
-        | Palloca (r, _, _) when Hashtbl.mem slots r -> begin
-          match cls.(r) with
-          | Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_alloca <- os.os_alloca + 1;
-              ignore (Mobject.fresh_id ());
-              Array.unsafe_set fr.fr_iregs r 0;
-              next st fr
-          | Rfloat ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_alloca <- os.os_alloca + 1;
-              ignore (Mobject.fresh_id ());
-              Array.unsafe_set fr.fr_fregs r 0.0;
-              next st fr
-          | Rbox | Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_alloca <- os.os_alloca + 1;
-              ignore (Mobject.fresh_id ());
-              Array.unsafe_set fr.fr_regs r Mval.zero;
-              next st fr
-        end
-        | Pload (r, _, Preg rp) when Hashtbl.mem slots rp -> begin
-          (* whole-slot load: forward the slot register (already the
-             exact value a memory load would produce).  These are the
-             hottest operations in alloca-based code, so each shape is
-             a fully inlined register move — no accessor closures. *)
-          match cls.(rp) with
-          | Rint when cls.(r) = Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let ir = fr.fr_iregs in
-              Array.unsafe_set ir r (Array.unsafe_get ir rp);
-              next st fr
-          | Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              fr.fr_regs.(r) <-
-                Mval.Vint (Int64.of_int (Array.unsafe_get fr.fr_iregs rp));
-              next st fr
-          | Rfloat when cls.(r) = Rfloat ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let fl = fr.fr_fregs in
-              Array.unsafe_set fl r (Array.unsafe_get fl rp);
-              next st fr
-          | Rfloat ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              fr.fr_regs.(r) <-
-                Mval.Vfloat (Array.unsafe_get fr.fr_fregs rp);
-              next st fr
-          | Rbox | Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              Array.unsafe_set fr.fr_regs r (Array.unsafe_get fr.fr_regs rp);
-              next st fr
-        end
-        | Pstore (s, v, Preg rp) when Hashtbl.mem slots rp -> begin
-          (* whole-slot store: normalize exactly like the memory round
-             trip would — small ints sign-extend their stored low bits,
-             F32 rounds through its bit pattern, I64 re-boxes through
-             [Mval.as_int] (same pointer-cookie side effect as the
-             interpreter's store). *)
-          match cls.(rp) with
-          | Rint -> begin
-            (* specialize the hot shapes: register and immediate sources
-               store straight-line, with the sign-extension shifts of
-               [Irsem.inorm] inlined (I1 masks instead) *)
-            let sh = if s = Irtype.I1 then 0 else 63 - Irsem.ibits s in
-            match v with
-            | Preg rv when cls.(rv) = Rint && s <> Irtype.I1 ->
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_store <- os.os_store + 1;
-                let x = Array.unsafe_get fr.fr_iregs rv in
-                Array.unsafe_set fr.fr_iregs rp ((x lsl sh) asr sh);
-                next st fr
-            | Pimm (Mval.Vint imm) ->
-              let c = Irsem.inorm s (Int64.to_int imm) in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_store <- os.os_store + 1;
-                Array.unsafe_set fr.fr_iregs rp c;
-                next st fr
-            | _ ->
-              let g = iget v in
-              let nrm = Irsem.inorm s in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_store <- os.os_store + 1;
-                Array.unsafe_set fr.fr_iregs rp (nrm (g fr));
-                next st fr
-          end
-          | Rfloat ->
-            let g = fget v in
-            if s = Irtype.F32 then
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_store <- os.os_store + 1;
-                Array.unsafe_set fr.fr_fregs rp (Irsem.round_to_f32 (g fr));
-                next st fr
-            else
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_mem <- ctrs.c_mem + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_store <- os.os_store + 1;
-                Array.unsafe_set fr.fr_fregs rp (g fr);
-                next st fr
-          | Rbox | Rptr ->
-            let g = getter v in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_store <- os.os_store + 1;
-              Array.unsafe_set fr.fr_regs rp (Mval.Vint (Mval.as_int (g fr)));
-              next st fr
-        end
-        | Palloca (r, mty, size) -> begin
-          match cls.(r) with
-          | Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_alloca <- os.os_alloca + 1;
-              let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
-              Array.unsafe_set fr.fr_pobj r obj;
-              Array.unsafe_set fr.fr_poff r 0;
-              next st fr
-          | _ ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_alloca <- os.os_alloca + 1;
-              let obj = Mobject.alloc ~storage:Merror.Stack ~mty size in
-              fr.fr_regs.(r) <- Mval.Vptr (Mobject.Pobj { Mobject.obj; moff = 0 });
-              next st fr
-        end
-        | Pload (r, s, p) when Irsem.small s ->
-          let size = Irtype.scalar_size s in
-          let fast = iload_fast s in
-          let norm = Irsem.inorm s in
-          let observe = s <> Irtype.I8 in
-          let set = iset r in
-          (* the hottest operation in alloca-based code (every read of a
-             local): for the dominant register-pointer/unboxed-result
-             shapes everything is inlined — the register reads, the
-             pointer access, the byte load and the result write *)
-          (match p with
-          | Preg rp when cls.(rp) = Rptr && cls.(r) = Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ ->
-                  norm
-                    (Int64.to_int
-                       (Mobject.load_int { Mobject.obj; moff = off } ~size ctx))
-              in
-              Array.unsafe_set fr.fr_iregs r v;
-              next st fr
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ ->
-                  norm
-                    (Int64.to_int
-                       (Mobject.load_int { Mobject.obj; moff = off } ~size ctx))
-              in
-              set fr v;
-              next st fr
-          | Preg rp when cls.(rp) = Rbox && cls.(r) = Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let a =
-                match Array.unsafe_get fr.fr_regs rp with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              let off = a.Mobject.moff in
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ -> norm (Int64.to_int (Mobject.load_int a ~size ctx))
-              in
-              Array.unsafe_set fr.fr_iregs r v;
-              next st fr
-          | p ->
-            let g = getter p in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let a =
-                match g fr with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              let off = a.Mobject.moff in
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ -> norm (Int64.to_int (Mobject.load_int a ~size ctx))
-              in
-              set fr v;
-              next st fr)
-        | Pload (r, s, p) when (s = Irtype.F32 || s = Irtype.F64) && cls.(r) = Rfloat ->
-          let size = Irtype.scalar_size s in
-          let fast = fload_fast s in
-          (* float loads always observe heap mementos (s <> I8) *)
-          (match p with
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              (match obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap obj s
-              | _ -> ());
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ -> Mobject.load_float { Mobject.obj; moff = off } ~size ctx
-              in
-              Array.unsafe_set fr.fr_fregs r v;
-              next st fr
-          | p ->
-            let g = getter p in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let a =
-                match g fr with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              (match obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap obj s
-              | _ -> ());
-              let off = a.Mobject.moff in
-              let v =
-                match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None
-                  when off >= 0 && off + size <= obj.Mobject.byte_size ->
-                  fast b off
-                | _ -> Mobject.load_float a ~size ctx
-              in
-              Array.unsafe_set fr.fr_fregs r v;
-              next st fr)
-        | Pload (r, s, p) ->
-          let size = Irtype.scalar_size s in
-          let load : Mobject.addr -> Mval.t =
-            match s with
-            | Irtype.Ptr -> fun a -> Mval.Vptr (Mobject.load_ptr a ctx)
-            | Irtype.F32 | Irtype.F64 ->
-              fun a -> Mval.Vfloat (Mobject.load_float a ~size ctx)
-            | _ ->
-              (* I64: bounds+liveness inline, [Mobject] on any slow branch *)
-              fun a ->
-                let obj = a.Mobject.obj in
-                let off = a.Mobject.moff in
-                (match (obj.Mobject.data, obj.Mobject.init_map) with
-                | Some b, None when off >= 0 && off + 8 <= obj.Mobject.byte_size
-                  ->
-                  Mval.Vint (Bytes.get_int64_le b off)
-                | _ -> Mval.Vint (Mobject.load_int a ~size:8 ctx))
-          in
-          (* allocation-memento observation applies to non-i8 heap
-             accesses only; the predicate on the scalar is compile-time *)
-          (match p with
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let a =
-                {
-                  Mobject.obj = Array.unsafe_get fr.fr_pobj rp;
-                  moff = Array.unsafe_get fr.fr_poff rp;
-                }
-              in
-              (match a.Mobject.obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap a.Mobject.obj s
-              | _ -> ());
-              fr.fr_regs.(r) <- load a;
-              next st fr
-          | Preg rp when cls.(rp) = Rbox ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let a =
-                match Array.unsafe_get fr.fr_regs rp with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              (match a.Mobject.obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap a.Mobject.obj s
-              | _ -> ());
-              fr.fr_regs.(r) <- load a;
-              next st fr
-          | p ->
-            let g = getter p in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_load <- os.os_load + 1;
-              let a =
-                match g fr with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              (match a.Mobject.obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap a.Mobject.obj s
-              | _ -> ());
-              fr.fr_regs.(r) <- load a;
-              next st fr)
-        | Pstore (s, v, p) when Irsem.small s ->
-          let gv = iget v in
-          let size = Irtype.scalar_size s in
-          let fast = istore_fast s in
-          let observe = s <> Irtype.I8 in
-          (* operand order matches the interpreter — pointer, then value
-             — and a plain register read cannot raise, so inlining the
-             pointer read keeps every raise point in place *)
-          (match p with
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_store <- os.os_store + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              let vv = gv fr in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ ->
-                Mobject.store_int { Mobject.obj; moff = off } ~size
-                  (Int64.of_int vv) ctx);
-              next st fr
-          | Preg rp when cls.(rp) = Rbox ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_store <- os.os_store + 1;
-              let pm = Array.unsafe_get fr.fr_regs rp in
-              let vv = gv fr in
-              let a =
-                match pm with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              let off = a.Mobject.moff in
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ -> Mobject.store_int a ~size (Int64.of_int vv) ctx);
-              next st fr
-          | p ->
-            let gp = getter p in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_store <- os.os_store + 1;
-              let pp = gp fr in
-              let vv = gv fr in
-              let a =
-                match pp with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              if observe then (
-                match obj.Mobject.storage with
-                | Merror.Heap -> Mheap.observe heap obj s
-                | _ -> ());
-              let off = a.Mobject.moff in
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ -> Mobject.store_int a ~size (Int64.of_int vv) ctx);
-              next st fr)
-        | Pstore (s, v, p) when s = Irtype.F32 || s = Irtype.F64 ->
-          let gv = fget v in
-          let size = Irtype.scalar_size s in
-          let fast = fstore_fast s in
-          (* float stores always observe heap mementos (s <> I8) *)
-          (match p with
-          | Preg rp when cls.(rp) = Rptr ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_store <- os.os_store + 1;
-              let obj = Array.unsafe_get fr.fr_pobj rp in
-              let off = Array.unsafe_get fr.fr_poff rp in
-              let vv = gv fr in
-              (match obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap obj s
-              | _ -> ());
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ ->
-                Mobject.store_float { Mobject.obj; moff = off } ~size vv ctx);
-              next st fr
-          | p ->
-            let gp = getter p in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_mem <- ctrs.c_mem + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_store <- os.os_store + 1;
-              let pp = gp fr in
-              let vv = gv fr in
-              let a =
-                match pp with
-                | Mval.Vptr (Mobject.Pobj a) -> a
-                | pm -> deref_c ctx pm
-              in
-              let obj = a.Mobject.obj in
-              (match obj.Mobject.storage with
-              | Merror.Heap -> Mheap.observe heap obj s
-              | _ -> ());
-              let off = a.Mobject.moff in
-              (match (obj.Mobject.data, obj.Mobject.init_map) with
-              | Some b, None
-                when off >= 0
-                     && off + size <= obj.Mobject.byte_size
-                     && obj.Mobject.ptr_slots = None ->
-                fast b off vv
-              | _ -> Mobject.store_float a ~size vv ctx);
-              next st fr)
-        | Pstore (s, v, p) ->
-          let gv = getter v and gp = getter p in
-          let size = Irtype.scalar_size s in
-          let store : Mobject.addr -> Mval.t -> unit =
-            match s with
-            | Irtype.Ptr -> fun a x -> Mobject.store_ptr a (Mval.as_ptr ctx x) ctx
-            | _ -> fun a x -> Mobject.store_int a ~size (Mval.as_int x) ctx
-          in
-          fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_mem <- ctrs.c_mem + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
-            if obs then os.os_store <- os.os_store + 1;
-            let pp = gp fr in
-            let vv = gv fr in
-            let a =
-              match pp with
-              | Mval.Vptr (Mobject.Pobj a) -> a
-              | pm -> deref_c ctx pm
-            in
-            (match a.Mobject.obj.Mobject.storage with
-            | Merror.Heap -> Mheap.observe heap a.Mobject.obj s
-            | _ -> ());
-            store a vv;
-            next st fr
-        | Pgep (r, base, g) when cls.(r) = Rptr ->
-          (* classification proved the base an object pointer, so the
-             pointer-shape dispatch of [exec_gep] vanishes: the result
-             is the base's pointee with an adjusted offset *)
-          let go = pget_obj base and gf = pget_off base in
-          let static = g.pg_static in
-          (match g.pg_dyn with
-          | [||] ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_gep <- os.os_gep + 1;
-              Array.unsafe_set fr.fr_pobj r (go fr);
-              Array.unsafe_set fr.fr_poff r (gf fr + static);
-              next st fr
-          | [| (iv, stride) |] ->
-            let gi = iget iv in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_gep <- os.os_gep + 1;
-              let obj = go fr in
-              let off = gf fr + static + (gi fr * stride) in
-              Array.unsafe_set fr.fr_pobj r obj;
-              Array.unsafe_set fr.fr_poff r off;
-              next st fr
-          | dyn ->
-            let gis = Array.map (fun (v, stride) -> (iget v, stride)) dyn in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_gep <- os.os_gep + 1;
-              let obj = go fr in
-              let d = ref (gf fr + static) in
-              for i = 0 to Array.length gis - 1 do
-                let gi, stride = gis.(i) in
-                d := !d + (gi fr * stride)
-              done;
-              Array.unsafe_set fr.fr_pobj r obj;
-              Array.unsafe_set fr.fr_poff r !d;
-              next st fr)
-        | Pgep (r, base, g) ->
-          let gb = getter base in
-          let apply delta (pm : Mval.t) : Mval.t =
-            match Mval.as_ptr ctx pm with
-            | Mobject.Pnull -> Mval.Vptr Mobject.Pnull
-            | Mobject.Pobj a ->
-              Mval.Vptr
-                (Mobject.Pobj { a with Mobject.moff = a.Mobject.moff + delta })
-            | Mobject.Pfunc _ as p ->
-              Mval.Vptr
-                (Mobject.Pinvalid
-                   (Int64.add (Mobject.ptr_to_int p) (Int64.of_int delta)))
-            | Mobject.Pinvalid c ->
-              Mval.Vptr (Mobject.Pinvalid (Int64.add c (Int64.of_int delta)))
-          in
-          let static = g.pg_static in
-          (match g.pg_dyn with
-          | [||] ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_gep <- os.os_gep + 1;
-              fr.fr_regs.(r) <- apply static (gb fr);
-              next st fr
-          | [| (iv, stride) |] ->
-            let gi = iget iv in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_gep <- os.os_gep + 1;
-              let b = gb fr in
-              let d = static + (gi fr * stride) in
-              fr.fr_regs.(r) <- apply d b;
-              next st fr
-          | dyn ->
-            let gis = Array.map (fun (v, stride) -> (iget v, stride)) dyn in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_gep <- os.os_gep + 1;
-              let b = gb fr in
-              let d = ref static in
-              for i = 0 to Array.length gis - 1 do
-                let gi, stride = gis.(i) in
-                d := !d + (gi fr * stride)
-              done;
-              fr.fr_regs.(r) <- apply !d b;
-              next st fr)
-        | Pbinop (r, op, s, a, b, cls_op, _) when cls_op <> Cfp && Irsem.small s ->
-          let f = small_binop_c ctx op s in
-          (match (a, b) with
-          | Preg ra, Preg rb
-            when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_binop <- os.os_binop + 1;
-              let ir = fr.fr_iregs in
-              Array.unsafe_set ir r
-                (f (Array.unsafe_get ir ra) (Array.unsafe_get ir rb));
-              next st fr
-          | a, b ->
-            let ga = iget a and gb = iget b in
-            let set = iset r in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_binop <- os.os_binop + 1;
-              (* right-to-left like the interpreter's application order *)
-              let y = gb fr in
-              set fr (f (ga fr) y);
-              next st fr)
-        | Pbinop (r, op, s, a, b, Cfp, _) when Irsem.is_float_op op ->
-          let f = Irsem.float_binop op s in
-          (match (a, b) with
-          | Preg ra, Preg rb
-            when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rfloat ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_fp <- ctrs.c_fp + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_binop <- os.os_binop + 1;
-              let fl = fr.fr_fregs in
-              Array.unsafe_set fl r
-                (f (Array.unsafe_get fl ra) (Array.unsafe_get fl rb));
-              next st fr
-          | a, b ->
-            let ga = fget a and gb = fget b in
-            let set = fset r in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_fp <- ctrs.c_fp + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_binop <- os.os_binop + 1;
-              let y = gb fr in
-              set fr (f (ga fr) y);
-              next st fr)
-        | Pbinop (r, _, _, a, b, cls_op, f) ->
-          let fp = cls_op = Cfp in
-          let ga = getter a and gb = getter b in
-          fun st fr ->
-            st.steps <- st.steps + 1;
-            (if fp then ctrs.c_fp <- ctrs.c_fp + 1
-             else ctrs.c_ops <- ctrs.c_ops + 1);
-            if st.steps > limit then raise Step_limit_exceeded;
-            if obs then os.os_binop <- os.os_binop + 1;
-            let y = gb fr in
-            fr.fr_regs.(r) <- f (ga fr) y;
-            next st fr
-        | Picmp (r, op, s, a, b, _) when Irsem.small s ->
-          let cmp = Irsem.small_icmp op s in
-          (match (a, b) with
-          | Preg ra, Preg rb
-            when cls.(ra) = Rint && cls.(rb) = Rint && cls.(r) = Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_icmp <- os.os_icmp + 1;
-              let ir = fr.fr_iregs in
-              Array.unsafe_set ir r
-                (if cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb) then 1
-                 else 0);
-              next st fr
-          | a, b ->
-            let ga = iget a and gb = iget b in
-            if cls.(r) = Rint then
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_icmp <- os.os_icmp + 1;
-                let y = gb fr in
-                Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
-                next st fr
-            else
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_icmp <- os.os_icmp + 1;
-                let y = gb fr in
-                fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
-                next st fr)
-        | Picmp (r, _, s, a, b, cmp) ->
-          let ga = getter a and gb = getter b in
-          let set = iset r in
-          fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
-            if obs then os.os_icmp <- os.os_icmp + 1;
-            let y = Mval.as_int (gb fr) in
-            set fr (if cmp s (Mval.as_int (ga fr)) y then 1 else 0)
-            |> fun () -> next st fr
-        | Pfcmp (r, _, a, b, cmp) ->
-          (match (a, b) with
-          | Preg ra, Preg rb
-            when cls.(ra) = Rfloat && cls.(rb) = Rfloat && cls.(r) = Rint ->
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_fp <- ctrs.c_fp + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_fcmp <- os.os_fcmp + 1;
-              let fl = fr.fr_fregs in
-              Array.unsafe_set fr.fr_iregs r
-                (if cmp (Array.unsafe_get fl ra) (Array.unsafe_get fl rb) then 1
-                 else 0);
-              next st fr
-          | a, b ->
-            let ga = fget a and gb = fget b in
-            if cls.(r) = Rint then
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_fp <- ctrs.c_fp + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_fcmp <- os.os_fcmp + 1;
-                let y = gb fr in
-                Array.unsafe_set fr.fr_iregs r (if cmp (ga fr) y then 1 else 0);
-                next st fr
-            else
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_fp <- ctrs.c_fp + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_fcmp <- os.os_fcmp + 1;
-                let y = gb fr in
-                fr.fr_regs.(r) <- (if cmp (ga fr) y then vtrue else vfalse);
-                next st fr)
-        | Pcast (r, op, from, into, v, boxed_cast) -> (
-          let cast_with get set conv : cont =
-           fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
-            if obs then os.os_cast <- os.os_cast + 1;
-            set fr (conv (get fr));
-            next st fr
-          in
-          let bset fr x = fr.fr_regs.(r) <- x in
-          match (op, Irsem.cast op from into) with
-          | (Instr.Ptrtoint | Instr.Inttoptr), _
-          | Instr.Bitcast, (Irsem.Int_to_int _ | Irsem.Float_to_float _) ->
-            cast_with (getter v) bset boxed_cast
-          | _, Irsem.Int_to_int _ when Irsem.small into ->
-            cast_with (iget v) (iset r) (Irsem.small_cast op from into)
-          | _, Irsem.Float_to_int f when Irsem.small into ->
-            cast_with (fget v) (iset r) (fun x -> Int64.to_int (f into x))
-          | _, Irsem.Float_to_float f -> cast_with (fget v) (fset r) f
-          | (Instr.Sitofp | Instr.Uitofp), _
-            when (match v with
-                 | Preg rv -> cls.(rv) = Rint && Irsem.small from
-                 | _ -> false) ->
-            cast_with (iget v) (fset r) (Irsem.small_to_float op from into)
-          | _, Irsem.Int_to_float f ->
-            let g = getter v in
-            cast_with (fun fr -> Mval.as_int (g fr)) (fset r) (f from into)
-          | _, Irsem.Int_to_int f ->
-            (* boxed widening (int index -> i64) is hot: no extra layers *)
-            let g = getter v in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_cast <- os.os_cast + 1;
-              fr.fr_regs.(r) <- Mval.Vint (f from into (Mval.as_int (g fr)));
-              next st fr
-          | _ -> cast_with (getter v) bset boxed_cast)
-        | Pselect (r, c, a, b) -> begin
-          match cls.(r) with
-          | Rint ->
-            let gc = iget c and ga = iget a and gb = iget b in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_select <- os.os_select + 1;
-              Array.unsafe_set fr.fr_iregs r (if gc fr = 0 then gb fr else ga fr);
-              next st fr
-          | Rfloat ->
-            let gc = iget c and ga = fget a and gb = fget b in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_select <- os.os_select + 1;
-              Array.unsafe_set fr.fr_fregs r (if gc fr = 0 then gb fr else ga fr);
-              next st fr
-          | Rptr ->
-            let gc = iget c in
-            let goa = pget_obj a and gfa = pget_off a in
-            let gob = pget_obj b and gfb = pget_off b in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_select <- os.os_select + 1;
-              if gc fr = 0 then begin
-                Array.unsafe_set fr.fr_pobj r (gob fr);
-                Array.unsafe_set fr.fr_poff r (gfb fr)
-              end
-              else begin
-                Array.unsafe_set fr.fr_pobj r (goa fr);
-                Array.unsafe_set fr.fr_poff r (gfa fr)
-              end;
-              next st fr
-          | Rbox ->
-            let gc = getter c and ga = getter a and gb = getter b in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_select <- os.os_select + 1;
-              fr.fr_regs.(r) <-
-                (if Int64.equal (Mval.as_int (gc fr)) 0L then gb fr else ga fr);
-              next st fr
-        end
-        | Psancheck ->
-          fun st fr ->
-            st.steps <- st.steps + 1;
-            ctrs.c_ops <- ctrs.c_ops + 1;
-            if st.steps > limit then raise Step_limit_exceeded;
-            if obs then os.os_sancheck <- os.os_sancheck + 1;
-            next st fr
-        | Ploc (line, col) ->
-          (* provenance marker: free, exactly like the interpreter *)
-          fun st fr ->
-            fr.fr_line <- line;
-            fr.fr_col <- col;
-            next st fr
-        | Pcall (r, callee, pargs, scalars) -> begin
-          match Hashtbl.find_opt isites key with
-          | Some site ->
-            (* Inlined direct call: the callee's blocks were compiled as
-               an instance at a disjoint register window; replay the
-               interpreter's call protocol without the frame push.
-               Order, as in [exec_instrs]/[call_function]: call charge,
-               caller's c_calls, argument evaluation (ascending), depth
-               increment and guard (context = caller's: the interpreter
-               checks before pushing the callee frame), callee's
-               c_invocations, then the callee entry. *)
-            let callee_pf = site.is_callee in
-            let cctrs = callee_pf.pf_counters in
-            let centry, _ccells =
-              instance callee_pf site.is_blocks
-                empty_sites
-                (Ret_inline (r, next))
-                Pc_none
-            in
-            (* Guest-profiler enter: fires after the call charge (so the
-               call instruction is attributed to the caller, as in
-               [call_function]) and before any callee charge.  Wrapping
-               [centry] keeps the non-profiling closure untouched. *)
-            let centry =
-              match prof with
-              | None -> centry
-              | Some p ->
-                let cname = callee_pf.pf_name in
-                fun st fr ->
-                  Profile.enter p ~steps:st.steps cname;
-                  centry st fr
-            in
-            let na = Array.length pargs in
-            let gs = Array.map getter pargs in
-            let params = site.is_params in
-            let bound = min (Array.length params) na in
-            fun st fr ->
-              st.steps <- st.steps + 1;
-              ctrs.c_ops <- ctrs.c_ops + 1;
-              if st.steps > limit then raise Step_limit_exceeded;
-              if obs then os.os_call <- os.os_call + 1;
-              ctrs.c_calls <- ctrs.c_calls + 1;
-              (* direct writes into the callee window are equivalent to
-                 the interpreter's argv: the windows are disjoint, so
-                 later argument reads cannot observe them *)
-              for k = 0 to bound - 1 do
-                fr.fr_regs.(params.(k)) <- gs.(k) fr
-              done;
-              for k = bound to na - 1 do
-                ignore (gs.(k) fr)
-              done;
-              st.depth <- st.depth + 1;
-              if st.depth > st.depth_limit then
-                Merror.raise_error Merror.Stack_overflow_guard ctx;
-              cctrs.c_invocations <- cctrs.c_invocations + 1;
-              centry st fr
-          | None ->
-            let na = Array.length pargs in
-            let gs = Array.map getter pargs in
-            let eval_args fr =
-              let argv = Array.make na Mval.zero in
-              for k = 0 to na - 1 do
-                argv.(k) <- gs.(k) fr
-              done;
-              argv
-            in
-            let finish : frame -> Mval.t option -> unit =
-              if r < 0 then fun _ _ -> ()
-              else fun fr res ->
-                fr.fr_regs.(r) <- (match res with Some v -> v | None -> Mval.zero)
-            in
-            (match callee with
-            | Pdirect tgt -> begin
-              (* the link pass ran before execution began: [!tgt] is
-                 stable, so the target resolves at compile time *)
-              match !tgt with
-              | Tgt_user callee_pf ->
-                fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_call <- os.os_call + 1;
-                  ctrs.c_calls <- ctrs.c_calls + 1;
-                  finish fr (call_function st callee_pf (eval_args fr) scalars);
-                  next st fr
-              | Tgt_builtin (_, fn) ->
-                fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_call <- os.os_call + 1;
-                  ctrs.c_calls <- ctrs.c_calls + 1;
-                  finish fr (fn st (eval_args fr));
-                  next st fr
-              | Tgt_unknown name ->
-                fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_call <- os.os_call + 1;
-                  ctrs.c_calls <- ctrs.c_calls + 1;
-                  ignore (eval_args fr);
-                  failwith ("interp: unknown builtin " ^ name)
-            end
-            | Pindirect (v, ic) ->
-              let gv = getter v in
-              fun st fr ->
-                st.steps <- st.steps + 1;
-                ctrs.c_ops <- ctrs.c_ops + 1;
-                if st.steps > limit then raise Step_limit_exceeded;
-                if obs then os.os_call <- os.os_call + 1;
-                ctrs.c_calls <- ctrs.c_calls + 1;
-                let argv = eval_args fr in
-                (match Mval.as_ptr ctx (gv fr) with
-                | Mobject.Pfunc name ->
-                  let tgt =
-                    if name == ic.ic_name || String.equal name ic.ic_name
-                    then begin
-                      if obs then os.os_ic_hit <- os.os_ic_hit + 1;
-                      ic.ic_target
-                    end
-                    else begin
-                      if obs then os.os_ic_miss <- os.os_ic_miss + 1;
-                      let t = resolve_callee st name in
-                      ic.ic_name <- name;
-                      ic.ic_target <- t;
-                      t
-                    end
-                  in
-                  finish fr (exec_target st tgt argv scalars)
-                | Mobject.Pnull -> Merror.raise_error Merror.Null_deref ctx
-                | Mobject.Pobj _ | Mobject.Pinvalid _ ->
-                  Merror.raise_error
-                    (Merror.Type_violation
-                       "indirect call through a data pointer")
-                    ctx);
-                next st fr)
-        end
-      in
-
-      (* --- blocks: fold the instruction chain onto the terminator,
-         fusing a trailing icmp/fcmp into its condbr when the compare
-         register is dead otherwise (its only read is the branch
-         itself) --- *)
-      let compile_block (blk : pblock) : cont =
-        let n = Array.length blk.pb_instrs in
-        let fused : cont option =
-          if n = 0 then None
-          else
-            match (blk.pb_instrs.(n - 1), blk.pb_term) with
-            | Picmp (r, op, s, a, b, _), Pcondbr (Preg rc, ta, tb)
-              when rc = r && uses.(r) = 1 && Irsem.small s ->
-              let cmp = Irsem.small_icmp op s in
-              (* two charges, exactly like the unfused icmp + terminator *)
-              (match (a, b, edge_plain ta, edge_plain tb) with
-              | Preg ra, Preg rb, Some ca, Some cb
-                when cls.(ra) = Rint && cls.(rb) = Rint ->
-                (* the whole loop-control idiom in one closure: native
-                   compare of two unboxed registers, direct cell jump *)
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_icmp <- os.os_icmp + 1;
-                    let ir = fr.fr_iregs in
-                    let taken =
-                      cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb)
-                    in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then !ca st fr else !cb st fr)
-              | a, b, Some ca, Some cb ->
-                let ga = iget a and gb = iget b in
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_icmp <- os.os_icmp + 1;
-                    let y = gb fr in
-                    let taken = cmp (ga fr) y in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then !ca st fr else !cb st fr)
-              | a, b, _, _ ->
-                let ka = compile_edge ta and kb = compile_edge tb in
-                (match (a, b) with
-                | Preg ra, Preg rb when cls.(ra) = Rint && cls.(rb) = Rint ->
-                  Some
-                    (fun st fr ->
-                      st.steps <- st.steps + 1;
-                      ctrs.c_ops <- ctrs.c_ops + 1;
-                      if st.steps > limit then raise Step_limit_exceeded;
-                      if obs then os.os_icmp <- os.os_icmp + 1;
-                      let ir = fr.fr_iregs in
-                      let taken =
-                        cmp (Array.unsafe_get ir ra) (Array.unsafe_get ir rb)
-                      in
-                      st.steps <- st.steps + 1;
-                      ctrs.c_ops <- ctrs.c_ops + 1;
-                      if st.steps > limit then raise Step_limit_exceeded;
-                      if obs then os.os_term <- os.os_term + 1;
-                      if taken then ka st fr else kb st fr)
-                | a, b ->
-                  let ga = iget a and gb = iget b in
-                  Some
-                    (fun st fr ->
-                      st.steps <- st.steps + 1;
-                      ctrs.c_ops <- ctrs.c_ops + 1;
-                      if st.steps > limit then raise Step_limit_exceeded;
-                      if obs then os.os_icmp <- os.os_icmp + 1;
-                      let y = gb fr in
-                      let taken = cmp (ga fr) y in
-                      st.steps <- st.steps + 1;
-                      ctrs.c_ops <- ctrs.c_ops + 1;
-                      if st.steps > limit then raise Step_limit_exceeded;
-                      if obs then os.os_term <- os.os_term + 1;
-                      if taken then ka st fr else kb st fr)))
-            | Picmp (r, _, s, a, b, cmp), Pcondbr (Preg rc, ta, tb)
-              when rc = r && uses.(r) = 1 ->
-              let ka = compile_edge ta and kb = compile_edge tb in
-              let ga = getter a and gb = getter b in
-              Some
-                (fun st fr ->
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_icmp <- os.os_icmp + 1;
-                  let y = Mval.as_int (gb fr) in
-                  let taken = cmp s (Mval.as_int (ga fr)) y in
-                  st.steps <- st.steps + 1;
-                  ctrs.c_ops <- ctrs.c_ops + 1;
-                  if st.steps > limit then raise Step_limit_exceeded;
-                  if obs then os.os_term <- os.os_term + 1;
-                  if taken then ka st fr else kb st fr)
-            | Pfcmp (r, _, a, b, cmp), Pcondbr (Preg rc, ta, tb)
-              when rc = r && uses.(r) = 1 ->
-              (* float loop controls (whetstone, fig15-float): compare
-                 two unboxed floats and branch in one closure *)
-              (match (a, b, edge_plain ta, edge_plain tb) with
-              | Preg ra, Preg rb, Some ca, Some cb
-                when cls.(ra) = Rfloat && cls.(rb) = Rfloat ->
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_fp <- ctrs.c_fp + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_fcmp <- os.os_fcmp + 1;
-                    let fl = fr.fr_fregs in
-                    let taken =
-                      cmp (Array.unsafe_get fl ra) (Array.unsafe_get fl rb)
-                    in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then !ca st fr else !cb st fr)
-              | a, b, Some ca, Some cb ->
-                let ga = fget a and gb = fget b in
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_fp <- ctrs.c_fp + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_fcmp <- os.os_fcmp + 1;
-                    let y = gb fr in
-                    let taken = cmp (ga fr) y in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then !ca st fr else !cb st fr)
-              | a, b, _, _ ->
-                let ka = compile_edge ta and kb = compile_edge tb in
-                let ga = fget a and gb = fget b in
-                Some
-                  (fun st fr ->
-                    st.steps <- st.steps + 1;
-                    ctrs.c_fp <- ctrs.c_fp + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_fcmp <- os.os_fcmp + 1;
-                    let y = gb fr in
-                    let taken = cmp (ga fr) y in
-                    st.steps <- st.steps + 1;
-                    ctrs.c_ops <- ctrs.c_ops + 1;
-                    if st.steps > limit then raise Step_limit_exceeded;
-                    if obs then os.os_term <- os.os_term + 1;
-                    if taken then ka st fr else kb st fr))
-            | _ -> None
-        in
-        let seed, upto =
-          match fused with
-          | Some k -> (k, n - 2)
-          | None -> (compile_term blk.pb_term, n - 1)
-        in
-        let rec build i acc =
-          if i < 0 then acc
-          else build (i - 1) (compile_instr (blk.pb_index, i) blk.pb_instrs.(i) acc)
-        in
-        build upto seed
-      in
-
-      for j = 0 to nblocks - 1 do
-        cells.(j) := compile_block iblocks.(j)
-      done;
-      (* Guest-profiler block notes: when profiling, wrap every block
-         cell so entering the block flushes the step delta into the
-         previous block and switches attribution — the same point the
-         interpreter notes in [exec_instrs], i.e. after the edge's phi
-         copies (credited to the predecessor, [compile_jump] runs them
-         before dereferencing the cell).  When not profiling the cells
-         stay untouched: zero cost. *)
-      (match prof with
-      | None -> ()
-      | Some p ->
-        for j = 0 to nblocks - 1 do
-          let inner = !(cells.(j)) in
-          let bs =
-            Profile.block_stat p ~func:ipf.pf_name ~label:iblocks.(j).pb_label
-          in
-          cells.(j) :=
-            fun st fr ->
-              Profile.note_block p ~steps:st.steps bs;
-              inner st fr
-        done);
-      let entry =
-        match entry_copies with
-        | Pc_none ->
-          let c0 = cells.(0) in
-          fun st fr -> !c0 st fr
-        | copies -> compile_jump copies cells.(0)
-      in
-      (entry, cells)
-    in
-
-    let entry, cells =
-      instance pf pf.pf_blocks sites Ret_fun
-        pf.pf_entry_copies
-    in
-
-    (* --- register-file installation and OSR frame transfer --- *)
-    let any_i = ref false and any_f = ref false and any_p = ref false in
-    Array.iter
-      (function
-        | Rint -> any_i := true
-        | Rfloat -> any_f := true
-        | Rptr -> any_p := true
-        | Rbox -> ())
-      cls;
-    let any_i = !any_i and any_f = !any_f and any_p = !any_p in
-    let install (fr : frame) =
-      if nregs > Array.length fr.fr_regs then begin
-        (* inlined callees enlarged the register file *)
-        let regs = Array.make nregs Mval.zero in
-        Array.blit fr.fr_regs 0 regs 0 (Array.length fr.fr_regs);
-        fr.fr_regs <- regs
-      end;
-      if any_i then fr.fr_iregs <- Array.make nregs 0;
-      if any_f then fr.fr_fregs <- Array.make nregs 0.0;
-      if any_p then begin
-        fr.fr_pobj <- Array.make nregs Mobject.dummy;
-        fr.fr_poff <- Array.make nregs 0
-      end
-    in
-    (* Direct frame construction (DESIGN.md §11): [call_function]
-       obtains frames through [cb_frame], which builds the register
-       files right-sized in one shot — the generic path would allocate
-       a [pf_nregs] boxed file only for [install] to immediately
-       replace it with the enlarged copy.  (A recycling pool was
-       measured and rejected: re-zeroing promoted arrays pays a write
-       barrier per element, which loses to the minor allocator.)
-       [cb_entry] therefore starts execution directly: acquired frames
-       arrive fully installed. *)
-    let nparams = pf.pf_nparams in
-    let param_regs = pf.pf_param_regs in
-    let acquire args arg_scalars =
-      let regs = Array.make nregs Mval.zero in
-      let bound = min nparams (Array.length args) in
-      for i = 0 to bound - 1 do
-        regs.(param_regs.(i)) <- args.(i)
-      done;
+    let cx =
       {
-        fr_func = pf;
-        fr_regs = regs;
-        fr_iregs = (if any_i then Array.make nregs 0 else [||]);
-        fr_fregs = (if any_f then Array.make nregs 0.0 else [||]);
-        fr_pobj = (if any_p then Array.make nregs Mobject.dummy else [||]);
-        fr_poff = (if any_p then Array.make nregs 0 else [||]);
-        fr_args = args;
-        fr_arg_scalars = arg_scalars;
-        fr_variadic = pf.pf_variadic;
-        fr_nparams = nparams;
-        fr_line = 0;
-        fr_col = 0;
+        cls;
+        slots;
+        uses;
+        obs = st0.obs;
+        os = st0.opstats;
+        limit = st0.step_limit;
+        heap = st0.heap;
+        prof = st0.prof;
+        ctrs = pf.pf_counters;
+        ctx = pf.pf_context;
+        cells = [||];
+        sites;
+        ret = Ret_fun;
       }
     in
-    let cb_entry = entry in
-    let cb_osr =
-      if not (Array.exists (fun b -> b.pb_osr) pf.pf_blocks) then None
-      else
-        Some
-          (fun st fr idx ->
-            (* Frame transfer: the interpreter ran this invocation so
-               far, so every live register sits boxed in [fr_regs];
-               move each into its compiled class file.  A register
-               whose box does not match its class is either unwritten
-               (still [Mval.zero], represented identically by every
-               class' zero — [as_float (Vint 0)] is [0.0]) or dead by
-               SSA dominance, so the transfer is exact. *)
-            let boxed = fr.fr_regs in
-            let nold = Array.length boxed in
-            install fr;
-            for r = 0 to nold - 1 do
-              match cls.(r) with
-              | Rint -> begin
-                match boxed.(r) with
-                | Mval.Vint v -> fr.fr_iregs.(r) <- Int64.to_int v
-                | Mval.Vfloat _ | Mval.Vptr _ -> ()
-              end
-              | Rfloat -> begin
-                match boxed.(r) with
-                | Mval.Vfloat f -> fr.fr_fregs.(r) <- f
-                | Mval.Vint v -> fr.fr_fregs.(r) <- Int64.to_float v
-                | Mval.Vptr _ -> ()
-              end
-              | Rptr -> begin
-                match boxed.(r) with
-                | Mval.Vptr (Mobject.Pobj a) ->
-                  fr.fr_pobj.(r) <- a.Mobject.obj;
-                  fr.fr_poff.(r) <- a.Mobject.moff
-                | Mval.Vint _ | Mval.Vfloat _ | Mval.Vptr _ -> ()
-              end
-              | Rbox -> ()
-            done;
-            (* Scalar-replaced allocas: the interpreter prefix kept the
-               slot in a real stack object (the box holds its pointer);
-               read the live value through it into the slot register.
-               The object itself goes stale from here on — sound
-               because [plan_slots] proved its address unreachable from
-               anywhere else.  The entry block (no predecessors) always
-               ran before any OSR-able loop header, so the box is
-               always a written pointer; anything else means the
-               register is dead and the class zero stands. *)
-            Hashtbl.iter
-              (fun r s ->
-                if r < nold then
-                  match boxed.(r) with
-                  | Mval.Vptr (Mobject.Pobj a) -> begin
-                    let size = Irtype.scalar_size s in
-                    match cls.(r) with
-                    | Rint ->
-                      fr.fr_iregs.(r) <-
-                        Int64.to_int
-                          (Irsem.normalize_int s
-                             (Mobject.load_int a ~size pf.pf_context))
-                    | Rfloat ->
-                      fr.fr_fregs.(r) <- Mobject.load_float a ~size pf.pf_context
-                    | Rbox | Rptr ->
-                      fr.fr_regs.(r) <-
-                        Mval.Vint (Mobject.load_int a ~size:8 pf.pf_context)
-                  end
-                  | Mval.Vint _ | Mval.Vfloat _ | Mval.Vptr _ -> ())
-              slots;
-            !(cells.(idx)) st fr)
-    in
-    { cb_entry; cb_osr; cb_frame = Some acquire; cb_release = None }
+    let entry, cells = compile_instance cx pf pf.pf_blocks pf.pf_entry_copies in
+    let acquire, cb_osr = compile_frames pf cls nregs slots cells in
+    { cb_entry = entry; cb_osr; cb_frame = Some acquire; cb_release = None }
   end
-

@@ -300,7 +300,8 @@ and lower_unop ctx (e : A.expr) op (a : A.expr) : Instr.value =
     let s = scalar_of_ctype pos ty in
     let v = coerce ctx pos ~from_ty:a.A.ty ~to_ty:ty (lower_rvalue ctx a) in
     if Irtype.is_float_scalar s then
-      Builder.binop ctx.b Instr.FSub s (Instr.ImmFloat (0.0, s)) v
+      (* [-0.0 - x], not [0.0 - x]: the latter turns -(+0.0) into +0.0 *)
+      Builder.binop ctx.b Instr.FSub s (Instr.ImmFloat (-0.0, s)) v
     else Builder.binop ctx.b Instr.Sub s (imm_int 0L s) v
   | A.Bitnot ->
     let ty = e.A.ty in

@@ -556,8 +556,8 @@ let test_reference_evaluator_floats () =
   Alcotest.(check int64) "NaN < is false" 0L (ei (Bin (Lt, nan_e, nan_e)));
   Alcotest.(check int64) "NaN != is true" 1L (ei (Bin (Ne, nan_e, nan_e)));
   Alcotest.(check int64) "NaN -> int is 0" 0L (ei (Cast (It I64, nan_e)));
-  (* Unary minus is 0.0 - x (so -(0.0) stays +0.0, like the engines). *)
-  Alcotest.(check int64) "neg zero via unary minus" 0L
+  (* Unary minus is -0.0 - x (so -(0.0) is -0.0, like the engines). *)
+  Alcotest.(check int64) "neg zero via unary minus" Int64.min_int
     (Int64.bits_of_float (ef (Un (Neg, FConst (0.0, F64)))));
   (* Float rcs predict the widened bit pattern. *)
   let p =

@@ -432,6 +432,74 @@ let test_profile_corpus_agreement () =
         (func_table pi) (func_table pt))
     Corpus.all
 
+(* ---------------- cross-tier counter law ---------------- *)
+
+(* Both tiers charge every operation the same way: with metrics on, each
+   benchmark program leaves identical [interp.*] counters — every op
+   kind, phi copies, inline-cache hits and misses, steps — whether it
+   ran interpreted or forced hot through the closure compiler.  Each
+   program runs as the front end emits it and after the safe-semantics
+   optimizer, whose mem2reg turns locals into phis (phi copies, selects,
+   unboxed registers everywhere). *)
+let interp_counter_deltas ?tier ~optimize (b : Benchprogs.bench) :
+    (string * int) list =
+  let value name =
+    match Hashtbl.find_opt Metrics.counters name with
+    | Some c -> c.Metrics.c_value
+    | None -> 0
+  in
+  let names () =
+    Hashtbl.fold
+      (fun n _ acc -> if String.starts_with ~prefix:"interp." n then n :: acc else acc)
+      Metrics.counters []
+    |> List.sort compare
+  in
+  let before = List.map (fun n -> (n, value n)) (names ()) in
+  let was = !Metrics.enabled in
+  Metrics.enabled := true;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Metrics.enabled := was)
+      (fun () ->
+        let m = Loader.load_program b.Benchprogs.b_source in
+        if optimize then ignore (Pipeline.safe_jit m);
+        let st = Interp.create ~step_limit ~mementos:true ~input:"" ?tier m in
+        Interp.run ~argv:[ "prog" ] st)
+  in
+  (match r.Interp.error with
+  | Some (_, m) -> Alcotest.failf "%s: unexpected error: %s" b.Benchprogs.b_name m
+  | None -> ());
+  List.filter_map
+    (fun n ->
+      let d = value n - Option.value ~default:0 (List.assoc_opt n before) in
+      if d = 0 then None else Some (n, d))
+    (names ())
+
+let test_counter_law () =
+  let compiles = Metrics.counter "jit.compiles" in
+  List.iter
+    (fun optimize ->
+      List.iter
+        (fun (b : Benchprogs.bench) ->
+          let name =
+            b.Benchprogs.b_name ^ if optimize then " (safe_jit)" else ""
+          in
+          let interp = interp_counter_deltas ~optimize b in
+          let c0 = compiles.Metrics.c_value in
+          let tiered =
+            interp_counter_deltas ~optimize
+              ~tier:(Tier.controller ~threshold:0 ()) b
+          in
+          if compiles.Metrics.c_value <= c0 then
+            Alcotest.failf "%s: forced-hot run compiled nothing" name;
+          if not (List.mem_assoc "interp.steps" interp) then
+            Alcotest.failf "%s: no interp.steps recorded" name;
+          Alcotest.(check (list (pair string int)))
+            (name ^ ": interp.* counters, tier 1 vs tier 2")
+            interp tiered)
+        Benchprogs.all)
+    [ false; true ]
+
 (* ---------------- difftest seeds ---------------- *)
 
 (* The oracle's 8 configurations include [sulong/tiered]; any
@@ -500,6 +568,11 @@ let () =
             `Quick test_profile_tier_agreement;
           Alcotest.test_case "whole corpus profiled, both tiers agree" `Quick
             test_profile_corpus_agreement;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "benchmarks: every interp.* counter, both tiers"
+            `Quick test_counter_law;
         ] );
       ( "difftest",
         [
